@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -272,7 +271,7 @@ def _run_benchmark(p):
     return obj, csv_text, _table(list(zip(names, values)))
 
 
-def _run_scaling(p, max_workers):
+def _run_scaling(p):
     lambdas = p["lambdas"]
     if isinstance(lambdas, str):
         try:
@@ -284,7 +283,6 @@ def _run_scaling(p, max_workers):
         lambdas,
         K_hint=p.get("k_hint"),
         grid=_grid_from(p),
-        max_workers=max_workers,
     )
     obj = json.loads(study.to_json())
     table_lines = [
@@ -375,28 +373,7 @@ def _config_from_namespace(ns):
     )
 
 
-def _thread_cap():
-    raw = os.environ.get("INSTANTON_GAS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(
-            "bad-value",
-            f"INSTANTON_GAS_THREADS must be a positive integer, got {raw!r}",
-            "INSTANTON_GAS_THREADS",
-        )
-    if value < 1:
-        raise CliError(
-            "bad-value",
-            f"INSTANTON_GAS_THREADS must be a positive integer, got {raw!r}",
-            "INSTANTON_GAS_THREADS",
-        )
-    return value
-
-
-def dispatch(config, max_workers=1):
+def dispatch(config):
     p = config.parameters
     if config.command == "spectrum":
         return _run_spectrum(p)
@@ -409,7 +386,7 @@ def dispatch(config, max_workers=1):
     if config.command == "benchmark":
         return _run_benchmark(p)
     if config.command == "scaling":
-        return _run_scaling(p, max_workers)
+        return _run_scaling(p)
     raise CliError("usage", f"unknown command {config.command!r}", "command")
 
 
@@ -439,8 +416,7 @@ def main(argv=None):
                 raise CliError("usage", "a command is required (or use --config)")
             config = _config_from_namespace(ns)
         out_format = config.output_format
-        threads = _thread_cap()
-        obj, csv_text, table_text = dispatch(config, max_workers=threads)
+        obj, csv_text, table_text = dispatch(config)
         if config.output_format == "json":
             _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", config.output_path)
         elif config.output_format == "csv":

@@ -68,6 +68,10 @@ class SymmetricLimitError(MomentError):
     """delta too small for the recursion; use the symmetric-limit path."""
 
 
+class MomentKeyError(MomentError, ValueError):
+    """Index pair negative or beyond DEPTH_CAP."""
+
+
 @dataclass(frozen=True)
 class MomentKey:
     """Index pair: n events toward the softer side, m back."""
@@ -77,9 +81,9 @@ class MomentKey:
 
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
-            raise ValueError("n and m must be non-negative")
+            raise MomentKeyError("n and m must be non-negative")
         if self.n > DEPTH_CAP or self.m > DEPTH_CAP:
-            raise ValueError(f"n, m capped at {DEPTH_CAP}")
+            raise MomentKeyError(f"n, m capped at {DEPTH_CAP}")
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,15 @@ class TestMomentsCommand:
         assert code == 2
         assert json.loads(out)["code"] == "bad-value"
 
+    def test_depth_beyond_cap_is_error_object(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "70", "--m", "3", "--omega0", "2",
+            "--omega1", "1.5", "--B", "0.5", "--T", "2", "--format", "json",
+        )
+        assert code == 1
+        assert err == ""
+        assert json.loads(out)["message"] == "n, m capped at 64"
+
 
 class TestTriangleCommand:
     def test_verification_report(self, capsys):
@@ -193,23 +202,6 @@ class TestConfigAndOutput:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["gap"] == pytest.approx(0.781025, abs=5e-7)
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("INSTANTON_GAS_THREADS", "zero")
-        code, out, _ = run_cli(
-            capsys, "spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3",
-            "--format", "json",
-        )
-        assert code == 2
-        assert json.loads(out)["parameter"] == "INSTANTON_GAS_THREADS"
-
-    def test_thread_env_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("INSTANTON_GAS_THREADS", "2")
-        code, out, _ = run_cli(
-            capsys, "scaling", "--b", "0", "--lambdas", "16,20,25", "--points",
-            "1201", "--x-min", "-3", "--x-max", "3", "--format", "json",
-        )
-        assert code == 0
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

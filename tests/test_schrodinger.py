@@ -31,6 +31,11 @@ def harmonic(x):
     return 0.5 * x * x
 
 
+def dense(op):
+    off = np.full(op.size - 1, op.off_diagonal)
+    return np.diag(op.diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
 class TestDiscretize:
     def test_harmonic_oscillator_levels(self):
         op = discretize(harmonic, HO_GRID)
@@ -82,12 +87,20 @@ class TestEigenvalues:
             off = -float(rng.uniform(0.5, 3.0))
             op = TridiagonalOperator(diagonal=diag, off_diagonal=off, size=n)
             mine = lowest_eigenvalues(op, 4)
-            ref = eigh_tridiagonal(
-                diag, np.full(n - 1, off), select="i", select_range=(0, 3),
-                eigvals_only=True,
-            )
+            ref = np.linalg.eigvalsh(dense(op))[:4]
             assert np.max(np.abs(np.array(mine) - ref)) < 1e-10
             assert mine == sorted(mine)
+
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_benchmark_family_against_dense(self, b):
+        op = discretize(benchmark_potential(16.0, b), GridSpec(-3.5, 3.5, 801))
+        mine = lowest_eigenvalues(op, 2)
+        assert type(mine) is list and all(type(e) is float for e in mine)
+        ref = np.linalg.eigvalsh(dense(op))[:2]
+        assert np.max(np.abs(np.array(mine) - ref)) < 1e-10
+        one_row = TridiagonalOperator(diagonal=np.array([1.0]), off_diagonal=-0.1, size=1)
+        with pytest.raises(BracketError):
+            lowest_eigenvalues(one_row, 2)
 
     def test_sturm_count_matches_spectrum(self):
         grid = GridSpec(0.0, math.pi, 201)
@@ -228,14 +241,6 @@ class TestScalingStudy:
 
         data = json.loads(study.to_json())
         assert set(data) >= {"slope", "intercept", "residuals", "excluded", "records"}
-
-    def test_parallel_matches_serial(self):
-        serial = scaling_study(0.0, [16.0, 20.0, 25.0], grid=GridSpec(-3.0, 3.0, 1501))
-        parallel = scaling_study(
-            0.0, [16.0, 20.0, 25.0], grid=GridSpec(-3.0, 3.0, 1501), max_workers=3
-        )
-        assert parallel.slope == serial.slope
-        assert parallel.records == serial.records
 
 
 class TestExtractionLoop:
