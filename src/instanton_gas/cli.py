@@ -11,18 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 
 from .moments import (
+    DEPTH_CAP,
     MomentError,
     MomentKey,
+    MomentKeyError,
     moment_closed,
     moment_quadrature,
     moment_recursive,
     moment_symmetric,
 )
-from .potential import PotentialError, WellParameters
+from .potential import ParameterError, PotentialError, WellParameters
 from .schrodinger import (
     DEFAULT_GRID,
     GridSpec,
@@ -30,7 +32,7 @@ from .schrodinger import (
     benchmark_point,
     scaling_study,
 )
-from .spectrum import energies, gas_sum_closed, gas_sum_partial
+from .spectrum import SpectrumError, energies, gas_sum_closed, gas_sum_partial
 from .triangle import TriangleError, build_triangle, verify_column_relations
 
 FORMATS = ("csv", "json", "table")
@@ -53,12 +55,6 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.parameter = parameter
-
-    def to_json(self):
-        return json.dumps(
-            {"code": self.code, "message": str(self), "parameter": self.parameter},
-            sort_keys=True,
-        )
 
 
 @dataclass
@@ -129,17 +125,29 @@ def _well_parameters(p, default_T=1.0):
             K=k,
             s_inst=s,
         )
-    except ValueError as exc:
+    except ParameterError as exc:
         code = "contradictory-parameters" if "inconsistent" in str(exc) else "bad-value"
-        raise CliError(code, str(exc), "B")
-
-
-def _fmt17(x):
-    return format(float(x), ".17g")
+        raise CliError(code, str(exc), exc.parameter)
 
 
 def _fmt6(x):
     return format(float(x), ".6g")
+
+
+def _json(obj):
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise CliError("non-finite-result", "the result is not finite (NaN or infinity)")
+
+
+def _cell(value):
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _csv(header, rows):
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _table(pairs):
@@ -147,66 +155,53 @@ def _table(pairs):
     return "\n".join(f"{name:<{width}}  {_fmt6(value)}" for name, value in pairs) + "\n"
 
 
+# One row of benchmark and scaling output: the fields of a BenchmarkRecord.
+_RECORD_HEADER = ("lambda", "s_inst", "omega0", "omega1", "gap_numeric", "b_prime", "refinement_error")
+
+
 def _run_spectrum(p):
     res = energies(_well_parameters(p))
-    fields = (
-        ("e_plus", res.e_plus),
-        ("e_minus", res.e_minus),
-        ("gap", res.gap),
-        ("amplitude_coefficient", res.amplitude_coefficient),
-    )
-    obj = {name: value for name, value in fields}
-    csv_text = (
-        ",".join(name for name, _ in fields)
-        + "\n"
-        + ",".join(_fmt17(v) for _, v in fields)
-        + "\n"
-    )
-    return obj, csv_text, _table(fields)
+    pairs = [(f.name, getattr(res, f.name)) for f in fields(res)]
+    return dict(pairs), _csv([name for name, _ in pairs], [[v for _, v in pairs]]), _table(pairs)
 
 
 def _run_moments(p):
     params = _well_parameters(p)
     n, m = int(p["n"]), int(p["m"])
+    try:
+        key = MomentKey(n, m)
+    except MomentKeyError as exc:
+        raise CliError("bad-value", str(exc), "m" if 0 <= n <= DEPTH_CAP else "n")
     method = p.get("method", "all")
     known = ("closed", "recursive", "quadrature", "symmetric", "all")
     if method not in known:
         raise CliError("bad-value", f"method must be one of {known}", "method")
-    rows = []
-
-    def add(name, value):
-        rows.append(
-            {"method": name, "n": n, "m": m, "stripped": value.stripped, "full": value.full}
-        )
-
+    values = []
     try:
         if method in ("closed", "all"):
-            add("closed", moment_closed(MomentKey(n, m), params))
+            values.append(("closed", moment_closed(key, params)))
         if method in ("recursive", "all"):
-            add("recursive", moment_recursive(n, m, params).value(n, m))
+            values.append(("recursive", moment_recursive(n, m, params).value(n, m)))
         if method in ("quadrature", "all"):
-            add("quadrature", moment_quadrature(MomentKey(n, m), params))
+            values.append(("quadrature", moment_quadrature(key, params)))
         if method == "symmetric":
             if params.delta != 0.0:
                 raise CliError(
                     "bad-value", "symmetric method requires omega0 == omega1", "method"
                 )
-            add("symmetric", moment_symmetric(MomentKey(n, m), params.B, params.T, params.omega0))
+            values.append(("symmetric", moment_symmetric(key, params.B, params.T, params.omega0)))
     except MomentError as exc:
         raise CliError("numerical", str(exc), "method")
 
-    csv_lines = ["method,n,m,stripped,full"]
+    header = ("method", "n", "m", "stripped", "full")
+    rows = [(name, n, m, value.stripped, value.full) for name, value in values]
     table_lines = [f"{'method':<12}{'stripped':>24}{'full':>24}"]
-    for row in rows:
-        csv_lines.append(
-            f"{row['method']},{row['n']},{row['m']},{_fmt17(row['stripped'])},{_fmt17(row['full'])}"
-        )
-        table_lines.append(
-            f"{row['method']:<12}{_fmt6(row['stripped']):>24}{_fmt6(row['full']):>24}"
-        )
+    table_lines += [
+        f"{name:<12}{_fmt6(value.stripped):>24}{_fmt6(value.full):>24}" for name, value in values
+    ]
     return (
-        {"n": n, "m": m, "rows": rows},
-        "\n".join(csv_lines) + "\n",
+        {"n": n, "m": m, "rows": [dict(zip(header, row)) for row in rows]},
+        _csv(header, rows),
         "\n".join(table_lines) + "\n",
     )
 
@@ -214,6 +209,8 @@ def _run_moments(p):
 def _run_sum(p):
     params = _well_parameters(p)
     n_terms = int(p.get("terms", 40))
+    if n_terms < 1:
+        raise CliError("bad-value", "terms must be >= 1", "terms")
     closed = gas_sum_closed(params)
     partial, terms = gas_sum_partial(params, n_terms)
     obj = {
@@ -223,12 +220,10 @@ def _run_sum(p):
         "terms": terms,
         "no_tunneling": params.B == 0.0,
     }
-    csv_lines = ["quantity,value", f"closed,{_fmt17(closed)}", f"partial,{_fmt17(partial)}"]
-    csv_lines += [f"term_{i},{_fmt17(t)}" for i, t in enumerate(terms)]
     pairs = [("closed", closed), ("partial", partial)] + [
         (f"term_{i}", t) for i, t in enumerate(terms)
     ]
-    return obj, "\n".join(csv_lines) + "\n", _table(pairs)
+    return obj, _csv(("quantity", "value"), pairs), _table(pairs)
 
 
 def _run_triangle_verify(p):
@@ -239,11 +234,20 @@ def _run_triangle_verify(p):
         report = verify_column_relations(triangle)
     except TriangleError as exc:
         raise CliError("bad-value", str(exc), "depth")
-    obj = json.loads(report.to_json())
-    csv_lines = ["family,checked,failed"]
-    for name, (checked, failed) in sorted(report.families.items()):
-        csv_lines.append(f"{name},{checked},{failed}")
-    return obj, "\n".join(csv_lines) + "\n", report.summary() + "\n"
+    families = sorted(report.families.items())
+    obj = {
+        "depth": report.depth,
+        "ratio": str(report.ratio),
+        "families": {name: {"checked": c, "failed": f} for name, (c, f) in families},
+        "total_checked": report.total_checked,
+        "total_failures": report.total_failures,
+    }
+    rows = [(name, c, f) for name, (c, f) in families]
+    summary = [f"{name}: checked {c}, failed {f}" for name, c, f in rows]
+    summary.append(
+        f"relations checked: {len(families)} families, failures: {report.total_failures}"
+    )
+    return obj, _csv(("family", "checked", "failed"), rows), "\n".join(summary) + "\n"
 
 
 def _grid_from(p):
@@ -255,20 +259,10 @@ def _grid_from(p):
 
 def _run_benchmark(p):
     record, clamped = benchmark_point(float(p["lam"]), float(p["b"]), _grid_from(p))
-    names = (
-        "lambda",
-        "s_inst",
-        "omega0",
-        "omega1",
-        "gap_numeric",
-        "b_prime",
-        "refinement_error",
-    )
-    values = record.csv_row()
-    obj = dict(zip(names, values))
+    pairs = list(zip(_RECORD_HEADER, astuple(record)))
+    obj = dict(pairs)
     obj["asymmetry_dominated"] = clamped
-    csv_text = ",".join(names) + "\n" + ",".join(_fmt17(v) for v in values) + "\n"
-    return obj, csv_text, _table(list(zip(names, values)))
+    return obj, _csv(_RECORD_HEADER, [astuple(record)]), _table(pairs)
 
 
 def _run_scaling(p):
@@ -284,14 +278,23 @@ def _run_scaling(p):
         K_hint=p.get("k_hint"),
         grid=_grid_from(p),
     )
-    obj = json.loads(study.to_json())
-    table_lines = [
-        f"slope      {_fmt6(study.slope)}",
-        f"intercept  {_fmt6(study.intercept)}",
-        f"records    {len(study.records)}",
-        f"excluded   {len(study.excluded)}",
+    rows = [astuple(rec) for rec in study.records]
+    obj = {
+        "slope": study.slope,
+        "intercept": study.intercept,
+        "residuals": list(study.residuals),
+        "excluded": [{"lambda": lam, "reason": reason} for lam, reason in study.excluded],
+        "records": [dict(zip(_RECORD_HEADER, row)) for row in rows],
+    }
+    if study.predicted_gaps:
+        obj["predicted_gaps"] = list(study.predicted_gaps)
+    pairs = [
+        ("slope", study.slope),
+        ("intercept", study.intercept),
+        ("records", len(study.records)),
+        ("excluded", len(study.excluded)),
     ]
-    return obj, study.to_csv(), "\n".join(table_lines) + "\n"
+    return obj, _csv(_RECORD_HEADER, rows), _table(pairs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,18 +420,16 @@ def main(argv=None):
             config = _config_from_namespace(ns)
         out_format = config.output_format
         obj, csv_text, table_text = dispatch(config)
-        if config.output_format == "json":
-            _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", config.output_path)
-        elif config.output_format == "csv":
-            _emit(csv_text, config.output_path)
-        else:
-            _emit(table_text, config.output_path)
+        # rendered in every format, so that no format prints NaN or infinity
+        json_text = _json(obj)
+        texts = {"json": json_text, "csv": csv_text, "table": table_text}
+        _emit(texts[config.output_format], config.output_path)
         return 0
     except CliError as exc:
         _report_error(exc, out_format)
         usage_codes = ("usage", "missing-parameter", "bad-value", "contradictory-parameters")
         return 2 if exc.code in usage_codes else 1
-    except (MomentError, PotentialError, SolverError, TriangleError) as exc:
+    except (MomentError, PotentialError, SolverError, SpectrumError, TriangleError) as exc:
         err = CliError(type(exc).__name__, str(exc))
         _report_error(err, out_format)
         return 1
@@ -436,7 +437,8 @@ def main(argv=None):
 
 def _report_error(exc, out_format):
     if out_format == "json":
-        sys.stdout.write(exc.to_json() + "\n")
+        error = {"code": exc.code, "message": str(exc), "parameter": exc.parameter}
+        sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
     else:
         sys.stderr.write(f"error: {exc}\n")
 

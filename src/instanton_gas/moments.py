@@ -22,14 +22,12 @@ direct quadrature of the integral, the integration-by-parts recursion
            + e^(-w0 T/2) sum_{j<=m} C(m+n-j, n) (-1)^(n+1) (B/d)^(n+m-j+1) (BT)^j/j!
 
 Both the recursion and the closed form cancel catastrophically for small
-|d| T or large |B/d|; evaluation escalates to arbitrary precision when the
+|d| T or large |B/d|; evaluation escalates to mpmath arithmetic when the
 predicted digit loss exceeds what float64 carries.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from math import comb, exp, factorial, lgamma, log10
@@ -58,10 +56,6 @@ class QuadratureError(MomentError):
     def __init__(self, message, error_estimate):
         super().__init__(f"{message} (error estimate {error_estimate:.3e})")
         self.error_estimate = error_estimate
-
-
-class CancellationError(MomentError):
-    """Catastrophic cancellation in forced-double evaluation."""
 
 
 class SymmetricLimitError(MomentError):
@@ -139,19 +133,23 @@ def _predicted_digit_loss(n, m, params):
     return max(0.0, max_term - lower)
 
 
+def _working_digits(n, m, params):
+    """mpmath digits for the closed form or recursion up to (n, m); None for float64."""
+    loss = _predicted_digit_loss(n, m, params)
+    return None if loss <= _FLOAT_DIGIT_BUDGET else int(loss) + 30
+
+
 def _neumaier_sum(terms):
     total = 0.0
     comp = 0.0
-    biggest = 0.0
     for t in terms:
-        biggest = max(biggest, abs(t))
         s = total + t
         if abs(total) >= abs(t):
             comp += (total - s) + t
         else:
             comp += (t - s) + total
         total = s
-    return total + comp, biggest
+    return total + comp
 
 
 def _closed_terms(n, m, r, bt, e_plus, e_minus):
@@ -162,13 +160,11 @@ def _closed_terms(n, m, r, bt, e_plus, e_minus):
         yield e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
 
 
-def moment_closed(key, params, precision="auto"):
+def moment_closed(key, params):
     """Closed-form evaluation of I(n, m).
 
-    precision: 'auto' (escalate to mpmath when the predicted cancellation
-    exceeds float64), 'double' (force float64 with compensated summation;
-    raises CancellationError when the result drowns in the largest term),
-    or an int giving mpmath working digits.
+    Float64 with compensated summation, or mpmath when the predicted
+    cancellation exceeds what float64 carries.
     """
     key = _as_key(key)
     n, m = key.n, key.m
@@ -179,26 +175,14 @@ def moment_closed(key, params, precision="auto"):
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "closed")
 
-    loss = _predicted_digit_loss(n, m, params)
-    if precision == "double":
-        dps = None
-    elif precision == "auto":
-        dps = None if loss <= _FLOAT_DIGIT_BUDGET else int(loss) + 30
-    else:
-        dps = int(precision)
-
+    dps = _working_digits(n, m, params)
     d, b, t = params.delta, params.B, params.T
     if dps is None:
         r = b / d
         bt = b * t
         e_plus = exp(d * t / 2.0)
         e_minus = exp(-d * t / 2.0)
-        stripped, biggest = _neumaier_sum(_closed_terms(n, m, r, bt, e_plus, e_minus))
-        if precision == "double" and biggest > 0 and abs(stripped) < 1e-10 * biggest:
-            raise CancellationError(
-                "catastrophic cancellation in closed form; use the recursive "
-                "or quadrature path, or extended precision"
-            )
+        stripped = _neumaier_sum(_closed_terms(n, m, r, bt, e_plus, e_minus))
     else:
         with mp.workdps(dps):
             dm, bm, tm = mp.mpf(d), mp.mpf(b), mp.mpf(t)
@@ -225,38 +209,8 @@ class MomentTable:
     def value(self, n, m):
         return self.values[(n, m)]
 
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("n,m,stripped,full,method\n")
-        for (n, m) in sorted(self.values):
-            v = self.values[(n, m)]
-            buf.write(f"{n},{m},{v.stripped:.17g},{v.full:.17g},{v.method}\n")
-        return buf.getvalue()
 
-    def to_json(self):
-        rows = [
-            {
-                "n": n,
-                "m": m,
-                "stripped": self.values[(n, m)].stripped,
-                "full": self.values[(n, m)].full,
-                "method": self.values[(n, m)].method,
-            }
-            for (n, m) in sorted(self.values)
-        ]
-        return json.dumps({"max_n": self.max_n, "max_m": self.max_m, "rows": rows}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        values = {
-            (row["n"], row["m"]): MomentValue(row["stripped"], row["full"], row["method"])
-            for row in data["rows"]
-        }
-        return cls(max_n=data["max_n"], max_m=data["max_m"], values=values)
-
-
-def moment_recursive(max_n, max_m, params, precision="auto"):
+def moment_recursive(max_n, max_m, params):
     """Fill the full (max_n+1) x (max_m+1) rectangle by the recursion.
 
     Requires delta != 0 (every rule divides by it).  Values are stripped of
@@ -264,8 +218,7 @@ def moment_recursive(max_n, max_m, params, precision="auto"):
     """
     if params.B is None:
         raise ValueError("params.B required")
-    if max_n > DEPTH_CAP or max_m > DEPTH_CAP:
-        raise MomentError(f"depth capped at {DEPTH_CAP}")
+    MomentKey(max_n, max_m)  # the same index limits as every other route
     if params.delta == 0.0 or abs(params.delta) * params.T < 1e-12:
         raise SymmetricLimitError(
             "|delta| T below stability threshold: use moment_symmetric"
@@ -278,14 +231,7 @@ def moment_recursive(max_n, max_m, params, precision="auto"):
         }
         return MomentTable(max_n, max_m, values)
 
-    loss = _predicted_digit_loss(max_n, max_m, params)
-    if precision == "double":
-        dps = None
-    elif precision == "auto":
-        dps = None if loss <= _FLOAT_DIGIT_BUDGET else int(loss) + 30
-    else:
-        dps = int(precision)
-
+    dps = _working_digits(max_n, max_m, params)
     d, b, t = params.delta, params.B, params.T
 
     def fill(r, bt, e_plus, e_minus, fact):
@@ -371,7 +317,7 @@ def multi_instanton(i, params):
 
     Dispatch by |delta| T: below 1e-4 the symmetric-limit value with a
     quadrature correction, below 1e-1 direct quadrature, else the closed
-    form (auto precision).
+    form (escalating to mpmath where float64 would cancel).
     """
     if i < 0:
         raise ValueError("i must be >= 0")

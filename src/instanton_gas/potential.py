@@ -9,9 +9,8 @@ exponent between two degenerate minima x0 < x1 is the zero-energy action
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from math import exp, sqrt
+from math import exp, isfinite, sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -36,6 +35,23 @@ class RootRefinementError(PotentialError):
 
 class AsymmetricDepthsError(PotentialError):
     """The two wells are not degenerate in energy."""
+
+
+class ParameterError(ValueError):
+    """A well parameter outside its domain; `parameter` names it."""
+
+    def __init__(self, parameter, message):
+        super().__init__(message)
+        self.parameter = parameter
+
+
+def _check_parameter(name, value, positive):
+    if not isfinite(value):
+        raise ParameterError(name, f"{name} must be finite, got {value!r}")
+    if positive and not value > 0:
+        raise ParameterError(name, f"{name} must be positive")
+    if not positive and value < 0:
+        raise ParameterError(name, f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,23 +81,6 @@ class PolynomialPotential:
     def derivative(self, x, order=1):
         return npoly.polyval(x, npoly.polyder(self.coefficients, order))
 
-    def mirrored(self):
-        """The reflected potential V(-x)."""
-        flipped = [c if k % 2 == 0 else -c for k, c in enumerate(self.coefficients)]
-        return PolynomialPotential(tuple(flipped))
-
-    def scaled(self, factor):
-        """The potential factor * V(x)."""
-        return PolynomialPotential(tuple(factor * c for c in self.coefficients))
-
-    def to_json(self):
-        return json.dumps({"coefficients": list(self.coefficients)})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(tuple(float(c) for c in data["coefficients"]))
-
 
 @dataclass(frozen=True)
 class WellMinimum:
@@ -100,7 +99,8 @@ class WellParameters:
 
     delta = (omega0 - omega1)/2 is derived, never supplied; it may be
     negative.  Either B or the pair (K, s_inst) may be given; the missing
-    side is derived (B = K exp(-s_inst)) or left as None.
+    side is derived (B = K exp(-s_inst)) or left as None.  Every given
+    value must be finite; a bad one raises ParameterError naming it.
     """
 
     omega0: float
@@ -112,30 +112,24 @@ class WellParameters:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not self.omega0 > 0 or not self.omega1 > 0:
-            raise ValueError("omega0 and omega1 must be positive")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        for name in ("omega0", "omega1", "T"):
+            _check_parameter(name, getattr(self, name), positive=True)
+        for name in ("B", "K", "s_inst"):
+            if getattr(self, name) is not None:
+                _check_parameter(name, getattr(self, name), positive=False)
         object.__setattr__(self, "delta", (self.omega0 - self.omega1) / 2.0)
-        if self.K is not None and self.K < 0:
-            raise ValueError("K must be >= 0")
-        if self.s_inst is not None and self.s_inst < 0:
-            raise ValueError("s_inst must be >= 0")
         derived = None
         if self.K is not None and self.s_inst is not None:
             derived = self.K * exp(-self.s_inst)
         if self.B is None:
             object.__setattr__(self, "B", derived)
-        else:
-            if self.B < 0:
-                raise ValueError("B must be >= 0")
-            if derived is not None:
-                tol = 1e-12 * max(abs(self.B), abs(derived), 1e-300)
-                if abs(self.B - derived) > tol:
-                    raise ValueError(
-                        f"inconsistent inputs: B={self.B!r} but "
-                        f"K*exp(-s_inst)={derived!r}"
-                    )
+        elif derived is not None:
+            tol = 1e-12 * max(abs(self.B), abs(derived), 1e-300)
+            if abs(self.B - derived) > tol:
+                raise ParameterError(
+                    "B",
+                    f"inconsistent inputs: B={self.B!r} but K*exp(-s_inst)={derived!r}",
+                )
 
 
 def _real_roots(coeffs):

@@ -18,13 +18,11 @@ symmetric wells lose their gap from lam ~ 130 on.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .potential import PolynomialPotential, find_minima, well_parameters
 from .spectrum import extract_coupling
@@ -65,6 +63,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3:
             raise SolverError("need at least 3 grid points")
+        if not (isfinite(self.x_min) and isfinite(self.x_max)):
+            raise SolverError("x_min and x_max must be finite")
         if not self.x_max > self.x_min:
             raise SolverError("x_max must exceed x_min")
 
@@ -170,27 +170,6 @@ def lowest_eigenvalues(operator, count):
     return eigs.tolist()
 
 
-def eigenvector(operator, eigenvalue, iterations=3):
-    """Inverse iteration for the eigenvector of an already-located eigenvalue."""
-    n = operator.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = operator.off_diagonal
-    ab[1, :] = operator.diagonal - eigenvalue - 1e-11 * max(1.0, abs(eigenvalue))
-    ab[2, :-1] = operator.off_diagonal
-    rng = np.random.default_rng(20210615)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
-    return v
-
-
-def parity_overlap(vector):
-    """Overlap <psi, P psi> with P the grid reflection (unit-norm input)."""
-    return float(np.dot(vector, vector[::-1]))
-
-
 class GapEstimate(tuple):
     """(gap, error_estimate) with named access."""
 
@@ -223,6 +202,8 @@ def numeric_gap(potential, grid, min_boundary_potential=None):
 
 def benchmark_potential(lam, b):
     """The double-well family lam (x^2-1)^2 (x^2 + b x + 1)."""
+    if not (isfinite(lam) and isfinite(b)):
+        raise SolverError("lam and b must be finite")
     if not abs(b) < 2:
         raise SolverError("need |b| < 2 for two harmonic minima")
     if not lam > 0:
@@ -243,12 +224,6 @@ class BenchmarkRecord:
     b_prime: float
     refinement_error: float
 
-    CSV_FIELDS = ("lambda", "s_inst", "omega0", "omega1", "gap_numeric", "b_prime", "refinement_error")
-
-    def csv_row(self):
-        return (self.lam, self.s_inst, self.omega0, self.omega1,
-                self.gap_numeric, self.b_prime, self.refinement_error)
-
 
 @dataclass(frozen=True)
 class ScalingStudy:
@@ -260,31 +235,6 @@ class ScalingStudy:
     residuals: tuple
     excluded: tuple
     predicted_gaps: tuple = ()
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BenchmarkRecord.CSV_FIELDS)
-        for rec in self.records:
-            writer.writerow(f"{v:.17g}" for v in rec.csv_row())
-        return buf.getvalue()
-
-    def to_json(self):
-        payload = {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residuals": list(self.residuals),
-            "excluded": [
-                {"lambda": lam, "reason": reason} for lam, reason in self.excluded
-            ],
-            "records": [
-                dict(zip(BenchmarkRecord.CSV_FIELDS, rec.csv_row()))
-                for rec in self.records
-            ],
-        }
-        if self.predicted_gaps:
-            payload["predicted_gaps"] = list(self.predicted_gaps)
-        return json.dumps(payload, sort_keys=True)
 
 
 def benchmark_point(lam, b, grid=None):

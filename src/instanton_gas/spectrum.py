@@ -16,12 +16,18 @@ bare level offset |d| when tunneling is negligible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from math import exp, hypot, sqrt
+from math import exp, hypot, lgamma, log, sqrt
 from typing import NamedTuple
 
 from .moments import multi_instanton
+
+# Natural log of the smallest positive float64 (the least subnormal).
+_LOG_TINIEST = log(5e-324)
+
+
+class SpectrumError(ArithmeticError):
+    """A spectrum quantity is not representable in float64, or fails its self-check."""
 
 
 @dataclass(frozen=True)
@@ -36,17 +42,6 @@ class SpectrumResult:
     def __post_init__(self):
         if self.e_plus > self.e_minus:
             raise ValueError("e_plus must not exceed e_minus")
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "e_plus": self.e_plus,
-                "e_minus": self.e_minus,
-                "gap": self.gap,
-                "amplitude_coefficient": self.amplitude_coefficient,
-            },
-            sort_keys=True,
-        )
 
 
 def _amplitude_coefficient(delta, b):
@@ -82,7 +77,7 @@ def energies(params):
     if params.K is not None and params.s_inst is not None:
         alt = hypot((w1 - w0) / 2.0, 2.0 * params.K * exp(-params.s_inst))
         if abs(alt - gap) > 1e-10 * max(gap, 1e-300):
-            raise ArithmeticError(
+            raise SpectrumError(
                 f"gap self-check failed: {gap!r} vs {alt!r} from (K, s_inst)"
             )
     return SpectrumResult(mean - root, mean + root, gap, _amplitude_coefficient(d, b))
@@ -92,7 +87,8 @@ def gas_sum_closed(params):
     """Closed form of the summed well-to-well amplitude at time T.
 
     Returns C (e^(-E+ T) - e^(-E- T)); identically 0 when B = 0 (no
-    tunneling path connects the wells).
+    tunneling path connects the wells).  Raises SpectrumError when
+    e^(-E+ T) overflows float64.
     """
     if params.B is None:
         raise ValueError("params.B required")
@@ -100,7 +96,35 @@ def gas_sum_closed(params):
         return 0.0
     res = energies(params)
     c = res.amplitude_coefficient
-    return c * (exp(-res.e_plus * params.T) - exp(-res.e_minus * params.T))
+    try:
+        grow = exp(-res.e_plus * params.T)
+    except OverflowError:
+        raise SpectrumError(
+            f"e^(-E+ T) overflows float64 at E+ T = {res.e_plus * params.T!r}"
+        ) from None
+    return c * (grow - exp(-res.e_minus * params.T))
+
+
+def _below_float64(i, params):
+    """True when the full I(i, i) is certainly smaller than any float64.
+
+    With N = 2i+1 the stripped value is (BT)^N/N! e^(-dT/2) M(i+1, N+1, dT)
+    (DLMF 13.4.1), and M(a, b, z) <= e^max(z, 0) for b >= a > 0, so
+    ln I(i, i) <= N ln(BT) - ln N! + |d|T/2 - (w0+w1)T/4.
+    """
+    n, t = 2 * i + 1, params.T
+    bound = (
+        n * (log(params.B) + log(t))  # B T itself may underflow
+        - lgamma(n + 1)
+        + (abs(params.delta) / 2.0 - (params.omega0 + params.omega1) / 4.0) * t
+    )
+    return bound < _LOG_TINIEST
+
+
+def _term(i, params):
+    if params.B > 0.0 and _below_float64(i, params):
+        return 0.0
+    return multi_instanton(i, params).full
 
 
 def gas_sum_partial(params, n_terms=None):
@@ -108,7 +132,9 @@ def gas_sum_partial(params, n_terms=None):
 
     With n_terms given, exactly that many terms are evaluated; otherwise
     accumulation stops once a term contributes less than 1e-16 relative or
-    at 64 terms, whichever comes first.  Returns (sum, terms).
+    at 64 terms, whichever comes first.  A term whose bound lies below the
+    smallest float64 is 0.0 without being evaluated, which keeps large T
+    finite and fast.  Returns (sum, terms).
     """
     terms = []
     total = 0.0
@@ -116,12 +142,12 @@ def gas_sum_partial(params, n_terms=None):
         if n_terms < 1:
             raise ValueError("n_terms must be >= 1")
         for i in range(n_terms):
-            t = multi_instanton(i, params).full
+            t = _term(i, params)
             terms.append(t)
             total += t
         return total, terms
     for i in range(64):
-        t = multi_instanton(i, params).full
+        t = _term(i, params)
         terms.append(t)
         total += t
         if abs(t) < 1e-16 * max(abs(total), 1e-300):

@@ -13,12 +13,11 @@ final at finite depth; the identities are instead exact once the
 truncations of both sides are aligned (shifting a column start by s steps
 shifts the matching term count by s).  The reported `complete` flags are a
 float-level statement: the geometric tail bound (term ratio 4 r^2, valid
-for |r| < 1/2) no longer moves the double-precision value.
+for |r| < 1/2) no longer moves the float64 value.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, isfinite, sqrt
@@ -282,32 +281,6 @@ class TriangleReport:
     def total_failures(self):
         return sum(f for _, f in self.families.values())
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "depth": self.depth,
-                "ratio": str(self.ratio),
-                "families": {
-                    name: {"checked": c, "failed": f}
-                    for name, (c, f) in sorted(self.families.items())
-                },
-                "total_checked": self.total_checked,
-                "total_failures": self.total_failures,
-            },
-            sort_keys=True,
-        )
-
-    def summary(self):
-        lines = [
-            f"{name}: checked {c}, failed {f}"
-            for name, (c, f) in sorted(self.families.items())
-        ]
-        lines.append(
-            f"relations checked: {len(self.families)} families, "
-            f"failures: {self.total_failures}"
-        )
-        return "\n".join(lines)
-
 
 def verify_column_relations(triangle):
     """Exact verification of the four column-sum identity families.
@@ -479,7 +452,7 @@ def central_generating_sum(x, y, max_terms=400):
     recurrence a_{i+1} = a_{i-1} - a_i / x; converges superexponentially.
 
     The forward recurrence excites the discarded mode alpha_minus^i, so the
-    loop runs in extended precision sized to the resulting amplification
+    loop runs in mpmath with working digits sized to the resulting amplification
     (about e^|alpha_minus y| relative to the sum).
     """
     import mpmath as mp

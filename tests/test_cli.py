@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instanton_gas.cli import RunConfig, CliError, main
 
@@ -9,6 +13,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse JSON, refusing NaN and Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def assert_error_object(code, out, parameter=None):
+    assert code != 0
+    err = strict_json(out)
+    assert set(err) == {"code", "message", "parameter"}
+    if parameter is not None:
+        assert err["parameter"] == parameter
+    return err
 
 
 class TestSpectrumCommand:
@@ -22,6 +44,13 @@ class TestSpectrumCommand:
         assert data["e_plus"] == pytest.approx(0.359488, abs=5e-7)
         assert data["e_minus"] == pytest.approx(1.140512, abs=5e-7)
         assert data["gap"] == pytest.approx(0.781025, abs=5e-7)
+
+    def test_json_keys(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3",
+            "--format", "json",
+        )
+        assert set(json.loads(out)) == {"e_plus", "e_minus", "gap", "amplitude_coefficient"}
 
     def test_determinism(self, capsys):
         argv = ("spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3",
@@ -91,9 +120,20 @@ class TestMomentsCommand:
             capsys, "moments", "--n", "70", "--m", "3", "--omega0", "2",
             "--omega1", "1.5", "--B", "0.5", "--T", "2", "--format", "json",
         )
-        assert code == 1
+        assert code == 2
         assert err == ""
         assert json.loads(out)["message"] == "n, m capped at 64"
+
+    @pytest.mark.parametrize("method", ["all", "closed", "recursive", "quadrature"])
+    @pytest.mark.parametrize("n, m, parameter", [(70, 3, "n"), (3, 70, "m"), (-1, 0, "n")])
+    def test_bad_index_names_it(self, capsys, method, n, m, parameter):
+        code, out, _ = run_cli(
+            capsys, "moments", f"--n={n}", f"--m={m}", "--omega0", "2",
+            "--omega1", "1.5", "--B", "0.5", "--T", "2", "--method", method,
+            "--format", "json",
+        )
+        assert code == 2
+        assert assert_error_object(code, out, parameter)["code"] == "bad-value"
 
 
 class TestTriangleCommand:
@@ -102,6 +142,7 @@ class TestTriangleCommand:
                                "--ratio", "2/5")
         assert code == 0
         assert "relations checked: 4 families, failures: 0" in out
+        assert "main-rule: checked " in out
 
     def test_json_report(self, capsys):
         # negative ratios need the --flag=value form (leading dash)
@@ -177,6 +218,19 @@ class TestBenchmarkCommands:
         assert -1.0 < data["slope"] < -0.6
         assert len(data["records"]) == 3
 
+    def test_scaling_csv_and_json(self, capsys):
+        argv = ("scaling", "--b", "0", "--lambdas", "16,20,25", "--points", "1501",
+                "--x-min", "-3", "--x-max", "3")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "lambda,s_inst,omega0,omega1,gap_numeric,b_prime,refinement_error"
+        assert len(lines) == 4
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        data = json.loads(out)
+        assert set(data) >= {"slope", "intercept", "residuals", "excluded", "records"}
+        assert [rec["lambda"] for rec in data["records"]] == [16.0, 20.0, 25.0]
+
 
 class TestConfigAndOutput:
     def test_config_file_equivalent_to_flags(self, capsys, tmp_path):
@@ -212,3 +266,88 @@ class TestConfigAndOutput:
             RunConfig(command="nope", parameters={})
         with pytest.raises(CliError):
             RunConfig(command="spectrum", parameters={"omega0": 1.0})
+
+
+WELL = ("--omega0", "2", "--omega1", "1", "--B", "0.5")
+
+
+class TestBoundary:
+    """Every input gives finite output with exit 0, or the error object."""
+
+    @pytest.mark.parametrize("argv, parameter", [
+        (("spectrum", "--omega0", "2", "--omega1", "1.5", "--B", "nan"), "B"),
+        (("spectrum", "--omega0", "2", "--omega1", "inf", "--B", "0.5"), "omega1"),
+        (("spectrum", "--omega0", "2", "--omega1", "-1", "--B", "0.5"), "omega1"),
+        (("spectrum", "--omega0", "2", "--omega1", "1", "--K", "1", "--S-inst", "inf"), "s_inst"),
+        (("sum", *WELL, "--T", "nan"), "T"),
+        (("sum", *WELL, "--T", "2", "--terms", "0"), "terms"),
+    ])
+    def test_bad_parameter_is_named(self, capsys, argv, parameter):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert assert_error_object(code, out, parameter)["code"] == "bad-value"
+
+    @pytest.mark.parametrize("argv", [
+        ("benchmark", "--lambda", "inf", "--b", "0"),
+        ("benchmark", "--lambda", "4", "--b", "nan"),
+        ("benchmark", "--lambda", "4", "--b", "0", "--x-min", "nan"),
+        ("benchmark", "--lambda", "4", "--b", "0", "--x-max=-inf"),
+    ])
+    def test_non_finite_grid_or_family_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert err == ""
+        assert assert_error_object(code, out)["code"] == "SolverError"
+
+    def test_huge_time_sums_to_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "sum", *WELL, "--T", "1e6", "--format", "json")
+        assert code == 0
+        data = strict_json(out)
+        assert data["partial"] == 0.0 and data["closed"] == 0.0
+        assert data["terms"] == [0.0] * 40
+
+    def test_large_time_sum_is_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "sum", *WELL, "--T", "3000", "--format", "json")
+        assert code == 0
+        data = strict_json(out)
+        assert 0.0 < data["closed"] < 1e-200
+        assert data["partial"] == 0.0
+
+    def test_overflowing_closed_sum_is_error_object(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sum", "--omega0", "2", "--omega1", "1", "--B", "0.95", "--T", "30000",
+            "--format", "json",
+        )
+        assert code == 1
+        assert err == ""
+        assert assert_error_object(code, out)["code"] == "SpectrumError"
+
+    def test_non_finite_result_is_error_object(self, capsys):
+        # finite inputs whose levels overflow: (w0 + w1)/4 is infinite
+        argv = ("spectrum", "--omega0", "1e308", "--omega1", "1e308", "--B", "1")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert assert_error_object(code, out)["code"] == "non-finite-result"
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1 and out == "" and "not finite" in err
+
+
+_FLOAT_TEXT = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "5e-324", "1e-300"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_SPECTRUM_FLAGS = ("--omega0", "--omega1", "--B", "--K", "--S-inst", "--T")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SPECTRUM_FLAGS), _FLOAT_TEXT))
+def test_spectrum_output_is_finite_json_or_error_object(flags):
+    argv = ["spectrum", *(f"{flag}={value}" for flag, value in sorted(flags.items())), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        assert_error_object(code, out.getvalue())
+        return
+    data = strict_json(out.getvalue())
+    assert set(data) == {"e_plus", "e_minus", "gap", "amplitude_coefficient"}
+    assert all(math.isfinite(v) for v in data.values())

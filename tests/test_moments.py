@@ -5,9 +5,7 @@ from math import comb, exp, factorial
 import pytest
 
 from instanton_gas.moments import (
-    CancellationError,
     MomentKey,
-    MomentTable,
     MomentValue,
     SymmetricLimitError,
     moment_closed,
@@ -87,14 +85,6 @@ class TestRecursive:
         with pytest.raises(SymmetricLimitError):
             moment_recursive(2, 2, params)
 
-    def test_table_serialization_round_trip(self):
-        table = moment_recursive(2, 2, P_EXAMPLE)
-        again = MomentTable.from_json(table.to_json())
-        assert again.value(2, 2) == table.value(2, 2)
-        csv_text = table.to_csv()
-        assert csv_text.splitlines()[0] == "n,m,stripped,full,method"
-        assert len(csv_text.splitlines()) == 10
-
 
 class TestClosed:
     def test_base_case_full_value(self):
@@ -131,11 +121,6 @@ class TestClosed:
         assert moment_closed((1, 0), P_EXAMPLE).stripped == pytest.approx(
             expansion, rel=1e-12
         )
-
-    def test_forced_double_raises_on_cancellation(self):
-        params = WellParameters(omega0=1.0, omega1=1.5, T=5.0, B=1.0)
-        with pytest.raises(CancellationError):
-            moment_closed((8, 8), params, precision="double")
 
     def test_auto_precision_survives_cancellation(self):
         params = WellParameters(omega0=1.0, omega1=1.5, T=5.0, B=1.0)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -52,11 +51,6 @@ class TestPolynomialPotential:
         with pytest.raises(PotentialError):
             PolynomialPotential((0.0, 0.0, 0.0, 0.0, -1.0))
 
-    def test_json_round_trip(self):
-        text = PRODUCT.to_json()
-        assert json.loads(text)["coefficients"][1] == 0.5
-        assert PolynomialPotential.from_json(text) == PRODUCT
-
 
 class TestFindMinima:
     def test_symmetric_quartic(self):
@@ -109,7 +103,7 @@ class TestInstantonAction:
 
     def test_scaling_by_sqrt_lambda(self):
         s1 = instanton_action(QUARTIC, -1.0, 1.0)
-        s4 = instanton_action(QUARTIC.scaled(4.0), -1.0, 1.0)
+        s4 = instanton_action(PolynomialPotential((4.0, 0.0, -8.0, 0.0, 4.0)), -1.0, 1.0)
         assert s4 == pytest.approx(2.0 * s1, rel=1e-9)
 
     def test_product_against_tanh_sinh_oracle(self):
@@ -118,7 +112,11 @@ class TestInstantonAction:
 
     def test_reflection_invariance(self):
         s = instanton_action(PRODUCT, -1.0, 1.0)
-        s_mirror = instanton_action(PRODUCT.mirrored(), -1.0, 1.0)
+        # V(-x): odd coefficients change sign
+        mirrored = PolynomialPotential(
+            tuple(c if k % 2 == 0 else -c for k, c in enumerate(PRODUCT.coefficients))
+        )
+        s_mirror = instanton_action(mirrored, -1.0, 1.0)
         assert s_mirror == pytest.approx(s, rel=1e-11)
 
     def test_dipping_potential_rejected(self):

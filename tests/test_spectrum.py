@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -68,10 +67,6 @@ class TestEnergies:
         params = WellParameters(omega0=1.0, omega1=2.0, T=1.0)
         with pytest.raises(ValueError):
             energies(params)
-
-    def test_json(self):
-        data = json.loads(energies(P_EXAMPLE).to_json())
-        assert set(data) == {"e_plus", "e_minus", "gap", "amplitude_coefficient"}
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
