@@ -3,7 +3,9 @@
 Every command validates its parameter subset before computing, emits to
 stdout or --output, and is deterministic: identical configurations produce
 byte-identical output.  Machine formats (csv, json) print floats with full
-round-trip precision; the human table uses 6 significant digits.
+round-trip precision; the human table uses 6 significant digits.  A
+--config file is the command line spelled as JSON: it becomes flags and
+goes through the same parser.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 from .moments import (
@@ -36,16 +38,9 @@ from .spectrum import SpectrumError, energies, gas_sum_closed, gas_sum_partial
 from .triangle import TriangleError, build_triangle, verify_column_relations
 
 FORMATS = ("csv", "json", "table")
-COMMANDS = ("moments", "triangle-verify", "sum", "spectrum", "benchmark", "scaling")
 
-_REQUIRED = {
-    "moments": ("n", "m", "omega0", "omega1", "T"),
-    "triangle-verify": ("depth", "ratio"),
-    "sum": ("omega0", "omega1", "T"),
-    "spectrum": ("omega0", "omega1"),
-    "benchmark": ("lam", "b"),
-    "scaling": ("b", "lambdas"),
-}
+# Top-level config keys besides "command" and "parameters", by the dest they set.
+_CONFIG_KEYS = {"output_format": "format", "output_path": "output"}
 
 
 class CliError(Exception):
@@ -57,49 +52,8 @@ class CliError(Exception):
         self.parameter = parameter
 
 
-@dataclass
-class RunConfig:
-    """One validated invocation: command, parameters, output routing."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output_format: str = "table"
-    output_path: str = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise CliError("usage", f"unknown command {self.command!r}", "command")
-        if self.output_format not in FORMATS:
-            raise CliError(
-                "bad-value", f"unknown format {self.output_format!r}", "format"
-            )
-        for name in _REQUIRED[self.command]:
-            if self.parameters.get(name) is None:
-                raise CliError(
-                    "missing-parameter",
-                    f"command {self.command!r} requires --{name.replace('_', '-')}",
-                    name,
-                )
-
-    @classmethod
-    def from_json_file(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise CliError("io-error", f"cannot read config: {exc}", "config")
-        except json.JSONDecodeError as exc:
-            raise CliError("bad-value", f"config is not valid JSON: {exc}", "config")
-        return cls(
-            command=data.get("command", ""),
-            parameters=data.get("parameters", {}),
-            output_format=data.get("output_format", "table"),
-            output_path=data.get("output_path"),
-        )
-
-
 def _parse_ratio(text):
-    text = str(text).strip()
+    text = text.strip()
     if "." in text or "e" in text.lower():
         raise CliError(
             "bad-value", "exact rational required (p/q); decimals are rejected", "ratio"
@@ -110,21 +64,11 @@ def _parse_ratio(text):
         raise CliError("bad-value", f"cannot parse ratio {text!r}: {exc}", "ratio")
 
 
-def _well_parameters(p, default_T=1.0):
-    b, k, s = p.get("B"), p.get("K"), p.get("s_inst")
-    if b is None and (k is None or s is None):
-        raise CliError(
-            "missing-parameter", "supply --B or both --K and --S-inst", "B"
-        )
+def _well_parameters(a):
+    if a.B is None and (a.K is None or a.s_inst is None):
+        raise CliError("missing-parameter", "supply --B or both --K and --S-inst", "B")
     try:
-        return WellParameters(
-            omega0=p["omega0"],
-            omega1=p["omega1"],
-            T=p.get("T", default_T),
-            B=b,
-            K=k,
-            s_inst=s,
-        )
+        return WellParameters(a.omega0, a.omega1, a.T, a.B, a.K, a.s_inst)
     except ParameterError as exc:
         code = "contradictory-parameters" if "inconsistent" in str(exc) else "bad-value"
         raise CliError(code, str(exc), exc.parameter)
@@ -159,20 +103,19 @@ def _table(pairs):
 _RECORD_HEADER = ("lambda", "s_inst", "omega0", "omega1", "gap_numeric", "b_prime", "refinement_error")
 
 
-def _run_spectrum(p):
-    res = energies(_well_parameters(p))
+def _run_spectrum(a):
+    res = energies(_well_parameters(a))
     pairs = [(f.name, getattr(res, f.name)) for f in fields(res)]
     return dict(pairs), _csv([name for name, _ in pairs], [[v for _, v in pairs]]), _table(pairs)
 
 
-def _run_moments(p):
-    params = _well_parameters(p)
-    n, m = int(p["n"]), int(p["m"])
+def _run_moments(a):
+    params = _well_parameters(a)
+    n, m, method = a.n, a.m, a.method
     try:
         key = MomentKey(n, m)
     except MomentKeyError as exc:
         raise CliError("bad-value", str(exc), "m" if 0 <= n <= DEPTH_CAP else "n")
-    method = p.get("method", "all")
     known = ("closed", "recursive", "quadrature", "symmetric", "all")
     if method not in known:
         raise CliError("bad-value", f"method must be one of {known}", "method")
@@ -206,17 +149,16 @@ def _run_moments(p):
     )
 
 
-def _run_sum(p):
-    params = _well_parameters(p)
-    n_terms = int(p.get("terms", 40))
-    if n_terms < 1:
+def _run_sum(a):
+    params = _well_parameters(a)
+    if a.terms < 1:
         raise CliError("bad-value", "terms must be >= 1", "terms")
     closed = gas_sum_closed(params)
-    partial, terms = gas_sum_partial(params, n_terms)
+    partial, terms = gas_sum_partial(params, a.terms)
     obj = {
         "closed": closed,
         "partial": partial,
-        "n_terms": n_terms,
+        "n_terms": a.terms,
         "terms": terms,
         "no_tunneling": params.B == 0.0,
     }
@@ -226,11 +168,10 @@ def _run_sum(p):
     return obj, _csv(("quantity", "value"), pairs), _table(pairs)
 
 
-def _run_triangle_verify(p):
-    depth = int(p["depth"])
-    ratio = _parse_ratio(p["ratio"])
+def _run_triangle_verify(a):
+    ratio = _parse_ratio(a.ratio)
     try:
-        triangle = build_triangle(depth, ratio)
+        triangle = build_triangle(a.depth, ratio)
         report = verify_column_relations(triangle)
     except TriangleError as exc:
         raise CliError("bad-value", str(exc), "depth")
@@ -250,34 +191,21 @@ def _run_triangle_verify(p):
     return obj, _csv(("family", "checked", "failed"), rows), "\n".join(summary) + "\n"
 
 
-def _grid_from(p):
-    points = int(p.get("points", DEFAULT_GRID.points))
-    x_min = float(p.get("x_min", DEFAULT_GRID.x_min))
-    x_max = float(p.get("x_max", DEFAULT_GRID.x_max))
-    return GridSpec(x_min, x_max, points)
-
-
-def _run_benchmark(p):
-    record, clamped = benchmark_point(float(p["lam"]), float(p["b"]), _grid_from(p))
+def _run_benchmark(a):
+    record, clamped = benchmark_point(a.lam, a.b, GridSpec(a.x_min, a.x_max, a.points))
     pairs = list(zip(_RECORD_HEADER, astuple(record)))
     obj = dict(pairs)
     obj["asymmetry_dominated"] = clamped
     return obj, _csv(_RECORD_HEADER, [astuple(record)]), _table(pairs)
 
 
-def _run_scaling(p):
-    lambdas = p["lambdas"]
-    if isinstance(lambdas, str):
-        try:
-            lambdas = [float(tok) for tok in lambdas.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise CliError("bad-value", f"cannot parse lambdas: {exc}", "lambdas")
-    study = scaling_study(
-        float(p["b"]),
-        lambdas,
-        K_hint=p.get("k_hint"),
-        grid=_grid_from(p),
-    )
+def _run_scaling(a):
+    try:
+        lambdas = [float(tok) for tok in a.lambdas.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise CliError("bad-value", f"cannot parse lambdas: {exc}", "lambdas")
+    grid = GridSpec(a.x_min, a.x_max, a.points)
+    study = scaling_study(a.b, lambdas, K_hint=a.k_hint, grid=grid)
     rows = [astuple(rec) for rec in study.records]
     obj = {
         "slope": study.slope,
@@ -298,6 +226,17 @@ def _run_scaling(p):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises CliError on bad usage; `flags` maps each option's dest to its flag."""
+
+    def __init__(self, **kwargs):
+        self.flags = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action.option_strings[-1]
+        return action
+
     def error(self, message):
         raise CliError("usage", message)
 
@@ -306,91 +245,114 @@ def build_parser():
     parser = _Parser(prog="instanton-gas", description=__doc__)
     parser.add_argument("--config", help="JSON file holding the full run configuration")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # command name -> its parser
 
-    def common(sp):
+    def command(name, run, description, *required):
+        """A subcommand computed by run(namespace); required lists the dests it cannot lack."""
+        sp = sub.add_parser(name, description=description)
         sp.add_argument("--format", choices=FORMATS, default="table")
         sp.add_argument("--output", default=None)
+        sp.set_defaults(run=run, required=required)
+        return sp
 
-    def well_flags(sp, with_T=True):
+    def well_flags(sp):
         sp.add_argument("--omega0", type=float)
         sp.add_argument("--omega1", type=float)
-        sp.add_argument("--B", type=float, default=None)
-        sp.add_argument("--K", type=float, default=None)
-        sp.add_argument("--S-inst", dest="s_inst", type=float, default=None)
-        if with_T:
-            sp.add_argument("--T", type=float, default=None)
+        sp.add_argument("--B", type=float)
+        sp.add_argument("--K", type=float)
+        sp.add_argument("--S-inst", dest="s_inst", type=float)
+        sp.add_argument("--T", type=float)
 
-    sp = sub.add_parser("moments", description="evaluate one overlap integral")
+    def grid_flags(sp):
+        sp.add_argument("--points", type=int, default=DEFAULT_GRID.points)
+        sp.add_argument("--x-min", dest="x_min", type=float, default=DEFAULT_GRID.x_min)
+        sp.add_argument("--x-max", dest="x_max", type=float, default=DEFAULT_GRID.x_max)
+
+    sp = command("moments", _run_moments, "evaluate one overlap integral",
+                 "n", "m", "omega0", "omega1", "T")
     well_flags(sp)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--method", default="all")
-    common(sp)
 
-    sp = sub.add_parser("triangle-verify", description="exact column-identity check")
+    sp = command("triangle-verify", _run_triangle_verify, "exact column-identity check",
+                 "depth", "ratio")
     sp.add_argument("--depth", type=int)
-    sp.add_argument("--ratio", type=str)
-    common(sp)
+    sp.add_argument("--ratio")
 
-    sp = sub.add_parser("sum", description="partial and closed gas sums")
+    sp = command("sum", _run_sum, "partial and closed gas sums", "omega0", "omega1", "T")
     well_flags(sp)
     sp.add_argument("--terms", type=int, default=40)
-    common(sp)
 
-    sp = sub.add_parser("spectrum", description="two-level energies and gap")
-    well_flags(sp, with_T=False)
-    sp.add_argument("--T", type=float, default=None)
-    common(sp)
+    sp = command("spectrum", _run_spectrum, "two-level energies and gap", "omega0", "omega1")
+    well_flags(sp)
+    sp.set_defaults(T=1.0)  # the energies do not depend on T
 
-    def grid_flags(sp):
-        sp.add_argument("--points", type=int, default=None)
-        sp.add_argument("--x-min", dest="x_min", type=float, default=None)
-        sp.add_argument("--x-max", dest="x_max", type=float, default=None)
-
-    sp = sub.add_parser("benchmark", description="numeric doublet gap of the family")
+    sp = command("benchmark", _run_benchmark, "numeric doublet gap of the family", "lam", "b")
     sp.add_argument("--lambda", dest="lam", type=float)
     sp.add_argument("--b", type=float)
     grid_flags(sp)
-    common(sp)
 
-    sp = sub.add_parser("scaling", description="ln B' vs action scaling study")
+    sp = command("scaling", _run_scaling, "ln B' vs action scaling study", "b", "lambdas")
     sp.add_argument("--b", type=float)
-    sp.add_argument("--lambdas", type=str)
-    sp.add_argument("--K-hint", dest="k_hint", type=float, default=None)
+    sp.add_argument("--lambdas")
+    sp.add_argument("--K-hint", dest="k_hint", type=float)
     grid_flags(sp)
-    common(sp)
 
     return parser
 
 
-def _config_from_namespace(ns):
-    skip = {"command", "format", "output", "config"}
-    parameters = {
-        k: v for k, v in vars(ns).items() if k not in skip and v is not None
-    }
-    return RunConfig(
-        command=ns.command or "",
-        parameters=parameters,
-        output_format=ns.format,
-        output_path=ns.output,
-    )
+def _requested_format(argv):
+    """The --format that argv asks for, known before parsing so that usage errors follow it."""
+    fmt = "table"
+    for i, arg in enumerate(argv):
+        if arg == "--format" and i + 1 < len(argv):
+            fmt = argv[i + 1]
+        elif arg.startswith("--format="):
+            fmt = arg.partition("=")[2]
+    return fmt
 
 
-def dispatch(config):
-    p = config.parameters
-    if config.command == "spectrum":
-        return _run_spectrum(p)
-    if config.command == "moments":
-        return _run_moments(p)
-    if config.command == "sum":
-        return _run_sum(p)
-    if config.command == "triangle-verify":
-        return _run_triangle_verify(p)
-    if config.command == "benchmark":
-        return _run_benchmark(p)
-    if config.command == "scaling":
-        return _run_scaling(p)
-    raise CliError("usage", f"unknown command {config.command!r}", "command")
+def _read_config(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise CliError("io-error", f"cannot read config: {exc}", "config")
+    except ValueError as exc:
+        raise CliError("bad-value", f"config is not valid JSON: {exc}", "config")
+    if not isinstance(data, dict):
+        raise CliError("bad-value", "config must be a JSON object", "config")
+    return data
+
+
+def _flag_text(value):
+    """A config value as its flag's text: a string as it is, a list comma-joined, else JSON."""
+    if isinstance(value, list):
+        return ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _config_argv(data, commands):
+    """The command line that a config spells: [command, "--flag=value", ...]; null is absent."""
+    command = data.get("command")
+    if not isinstance(command, str) or command not in commands:
+        raise CliError("usage", f"unknown command {command!r}", "command")
+    parameters = data.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise CliError("bad-value", "config parameters must be a JSON object", "parameters")
+    flags = commands[command].flags
+    keys = [(_CONFIG_KEYS.get(key), key, value) for key, value in data.items()
+            if key not in ("command", "parameters")]
+    keys += [(None if key in ("help", *_CONFIG_KEYS.values()) else key, key, value)
+             for key, value in parameters.items()]
+    argv = [command]
+    for dest, key, value in keys:
+        if dest not in flags:
+            raise CliError("usage", f"unknown config key {key!r} for command {command!r}", key)
+        if value is not None:
+            argv.append(f"{flags[dest]}={_flag_text(value)}")
+    return argv
 
 
 def _emit(text, path):
@@ -405,25 +367,29 @@ def _emit(text, path):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    out_format = "table"
+    out_format = _requested_format(argv)
     try:
         ns = parser.parse_args(argv)
-        out_format = getattr(ns, "format", "table")
-        if ns.config:
-            config = RunConfig.from_json_file(ns.config)
-            if "ratio" in config.parameters:
-                config.parameters["ratio"] = str(config.parameters["ratio"])
-        else:
-            if not ns.command:
-                raise CliError("usage", "a command is required (or use --config)")
-            config = _config_from_namespace(ns)
-        out_format = config.output_format
-        obj, csv_text, table_text = dispatch(config)
+        if ns.config is not None:
+            if ns.command is not None:
+                raise CliError("usage", "give either a command or --config, not both", "config")
+            data = _read_config(ns.config)
+            out_format = data.get("output_format")
+            ns = parser.parse_args(_config_argv(data, parser.commands))
+        if ns.command is None:
+            raise CliError("usage", "a command is required (or use --config)")
+        out_format = ns.format
+        flags = parser.commands[ns.command].flags
+        for name in ns.required:
+            if getattr(ns, name) is None:
+                message = f"command {ns.command!r} requires {flags[name]}"
+                raise CliError("missing-parameter", message, name)
+        obj, csv_text, table_text = ns.run(ns)
         # rendered in every format, so that no format prints NaN or infinity
-        json_text = _json(obj)
-        texts = {"json": json_text, "csv": csv_text, "table": table_text}
-        _emit(texts[config.output_format], config.output_path)
+        texts = {"json": _json(obj), "csv": csv_text, "table": table_text}
+        _emit(texts[ns.format], ns.output)
         return 0
     except CliError as exc:
         _report_error(exc, out_format)

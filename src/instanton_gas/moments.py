@@ -29,8 +29,9 @@ predicted digit loss exceeds what float64 carries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from math import comb, exp, factorial, lgamma, log10
+from math import comb, exp, factorial, lgamma, log, log10
 
 import mpmath as mp
 from scipy.integrate import quad
@@ -39,6 +40,8 @@ from .potential import WellParameters
 
 DEPTH_CAP = 64
 _LOG10_E = math.log10(math.e)
+# Natural log of the largest float64.
+_LOG_HUGEST = log(sys.float_info.max)
 # predicted cancellation (digits) beyond which float64 is abandoned; the
 # remaining ~1e-10 headroom keeps the three-way cross checks at 1e-8 safe
 _FLOAT_DIGIT_BUDGET = 6.0
@@ -110,7 +113,7 @@ def _predicted_digit_loss(n, m, params):
     b, d, t = params.B, params.delta, params.T
     if b == 0.0:
         return 0.0
-    log_r = log10(abs(b / d))
+    log_r = log10(b) - log10(abs(d))  # b / d itself may underflow
     log_bt = log10(b * t)
     half = abs(d) * t / 2.0 * _LOG10_E
 
@@ -133,8 +136,34 @@ def _predicted_digit_loss(n, m, params):
     return max(0.0, max_term - lower)
 
 
+def _log_stripped_lower(n, m, params):
+    """A lower bound of ln(stripped I(n, m)), for B > 0.
+
+    e^(d t) peaks at the end t = -sign(d) T/2, where the factor of index p
+    (n for d < 0, m otherwise) vanishes.  On the stretch of length
+    L = min(T/2, 1/|d|) from that end, e^(d t) >= e^(|d|(T/2 - L)), the other
+    factor is at least (T/2)^q/q!, and the vanishing one integrates to
+    L^(p+1)/(p+1)!.
+    """
+    b, d, t = params.B, params.delta, params.T
+    p, q = (n, m) if d < 0.0 else (m, n)
+    stretch = t / 2.0 if d == 0.0 else min(t / 2.0, 1.0 / abs(d))
+    return (
+        (n + m + 1) * log(b)
+        + abs(d) * (t / 2.0 - stretch)
+        + q * log(t / 2.0) - lgamma(q + 1)
+        + (p + 1) * log(stretch) - lgamma(p + 2)
+    )
+
+
 def _working_digits(n, m, params):
-    """mpmath digits for the closed form or recursion up to (n, m); None for float64."""
+    """mpmath digits for the closed form or recursion up to (n, m); None for float64.
+
+    Raises MomentError, before any digits are spent, when the stripped
+    I(n, m) certainly exceeds float64 (the digit count grows like |d| T).
+    """
+    if _log_stripped_lower(n, m, params) > _LOG_HUGEST:
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
     loss = _predicted_digit_loss(n, m, params)
     return None if loss <= _FLOAT_DIGIT_BUDGET else int(loss) + 30
 
@@ -274,11 +303,15 @@ def moment_quadrature(key, params):
     def integrand(u):
         return exp(d * u) * (t / 2.0 + u) ** n / fn * (t / 2.0 - u) ** m / fm
 
-    out = quad(integrand, -t / 2.0, t / 2.0, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1)
+    try:
+        out = quad(integrand, -t / 2.0, t / 2.0, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1)
+        weight = b ** (n + m + 1)
+    except OverflowError:
+        raise MomentError(f"I({n}, {m}) overflows float64 in quadrature") from None
     val, abserr = out[0], out[1]
     if len(out) > 3 or (val != 0.0 and abserr > 1e-10 * abs(val)):
         raise QuadratureError("quadrature did not converge", abserr)
-    stripped = b ** (n + m + 1) * val
+    stripped = weight * val
     return MomentValue(stripped, stripped * prefactor(params), "quadrature")
 
 
@@ -295,40 +328,20 @@ def moment_symmetric(key, B, T, omega):
     return MomentValue(stripped, stripped * exp(-omega * T / 2.0), "symmetric-limit")
 
 
-def _symmetric_with_correction(i, params):
-    """Beta-function value plus the quadrature of the e^(dt)-1 remainder."""
-    d, b, t = params.delta, params.B, params.T
-    base = b ** (2 * i + 1) * t ** (2 * i + 1) / float(factorial(2 * i + 1))
-    if d != 0.0 and base > 0.0:
-        fi = float(factorial(i))
-
-        def correction(u):
-            return math.expm1(d * u) * (t / 2.0 + u) ** i / fi * (t / 2.0 - u) ** i / fi
-
-        val, _ = quad(
-            correction, -t / 2.0, t / 2.0, epsabs=1e-6 * base, epsrel=1e-10, limit=200
-        )
-        base += b ** (2 * i + 1) * val
-    return MomentValue(base, base * prefactor(params), "symmetric-limit")
-
-
 def multi_instanton(i, params):
     """Full I(i, i): the (2i+1)-event well-to-well contribution.
 
-    Dispatch by |delta| T: below 1e-4 the symmetric-limit value with a
-    quadrature correction, below 1e-1 direct quadrature, else the closed
-    form (escalating to mpmath where float64 would cancel).
+    Direct quadrature below |delta| T = 0.1, where the closed form cancels;
+    above it the closed form (escalating to mpmath where float64 would cancel).
     """
     if i < 0:
         raise ValueError("i must be >= 0")
     if params.B is None:
         raise ValueError("params.B required")
-    x = abs(params.delta) * params.T
+    near_symmetric = abs(params.delta) * params.T < 1e-1
     if params.B == 0.0:
-        return MomentValue(0.0, 0.0, "symmetric-limit" if x < 1e-4 else "closed")
-    if x < 1e-4:
-        return _symmetric_with_correction(i, params)
-    if x < 1e-1:
+        return MomentValue(0.0, 0.0, "quadrature" if near_symmetric else "closed")
+    if near_symmetric:
         return moment_quadrature(MomentKey(i, i), params)
     return moment_closed(MomentKey(i, i), params)
 

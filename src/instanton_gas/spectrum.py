@@ -49,7 +49,11 @@ def _amplitude_coefficient(delta, b):
         return 0.5
     if b == 0.0:
         return 0.0
-    return 0.5 / sqrt(1.0 + (delta / (2.0 * b)) ** 2)
+    ratio = delta / (2.0 * b)
+    try:
+        return 0.5 / sqrt(1.0 + ratio**2)
+    except OverflowError:  # ratio^2 beyond float64, where sqrt(1 + ratio^2) is |ratio|
+        return 0.5 / abs(ratio)
 
 
 def energies(params):
@@ -110,15 +114,17 @@ def _below_float64(i, params):
 
     With N = 2i+1 the stripped value is (BT)^N/N! e^(-dT/2) M(i+1, N+1, dT)
     (DLMF 13.4.1), and M(a, b, z) <= e^max(z, 0) for b >= a > 0, so
-    ln I(i, i) <= N ln(BT) - ln N! + |d|T/2 - (w0+w1)T/4.
+    ln I(i, i) <= N ln(BT) - ln N! + |d|T/2 - (w0+w1)T/4.  Bounding both
+    polynomial factors by T^i/i! and integrating e^(d t) alone gives the
+    other bound, N ln B + 2i ln T - 2 ln i! - ln|d| + |d|T/2 - (w0+w1)T/4,
+    the smaller one when |d| is large.
     """
-    n, t = 2 * i + 1, params.T
-    bound = (
-        n * (log(params.B) + log(t))  # B T itself may underflow
-        - lgamma(n + 1)
-        + (abs(params.delta) / 2.0 - (params.omega0 + params.omega1) / 4.0) * t
-    )
-    return bound < _LOG_TINIEST
+    n, t, d = 2 * i + 1, params.T, abs(params.delta)
+    log_b, log_t = log(params.B), log(t)  # B T itself may underflow
+    bound = n * (log_b + log_t) - lgamma(n + 1)
+    if d > 0.0:
+        bound = min(bound, n * log_b + 2 * i * log_t - 2 * lgamma(i + 1) - log(d))
+    return bound + (d / 2.0 - (params.omega0 + params.omega1) / 4.0) * t < _LOG_TINIEST
 
 
 def _term(i, params):

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from instanton_gas.cli import RunConfig, CliError, main
+from instanton_gas.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +234,12 @@ class TestBenchmarkCommands:
         assert [rec["lambda"] for rec in data["records"]] == [16.0, 20.0, 25.0]
 
 
+def run_config(capsys, tmp_path, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return run_cli(capsys, "--config", str(path))
+
+
 class TestConfigAndOutput:
     def test_config_file_equivalent_to_flags(self, capsys, tmp_path):
         argv = ("spectrum", "--omega0", "1.5", "--omega1", "2.5", "--B", "0.2",
@@ -261,11 +269,109 @@ class TestConfigAndOutput:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 2
 
-    def test_runconfig_validation(self):
-        with pytest.raises(CliError):
-            RunConfig(command="nope", parameters={})
-        with pytest.raises(CliError):
-            RunConfig(command="spectrum", parameters={"omega0": 1.0})
+    def test_runconfig_validation(self, capsys, tmp_path):
+        code, out, _ = run_config(capsys, tmp_path, {"command": "nope", "output_format": "json"})
+        assert code == 2
+        assert assert_error_object(code, out, "command")["code"] == "usage"
+        code, out, _ = run_config(capsys, tmp_path, {
+            "command": "spectrum", "parameters": {"omega0": 1.0}, "output_format": "json",
+        })
+        assert code == 2
+        err = assert_error_object(code, out, "omega1")
+        assert err["code"] == "missing-parameter"
+        assert err["message"] == "command 'spectrum' requires --omega1"
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--omega0", "-1e308", "--omega1", "1", "--B", "0.3", "--format", "json"),
+        ("moments", "--n", "abc", "--m", "1", "--omega0", "1", "--omega1", "2", "--B", "0.3",
+         "--T", "2", "--format=json"),
+        ("frobnicate", "--format", "json"),
+        ("spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3", "--bogus", "1", "--format", "json"),
+    ])
+    def test_usage_error_follows_json_format(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err == ""
+        assert assert_error_object(code, out)["code"] == "usage"
+
+    def test_missing_flag_is_named_as_spelled(self, capsys):
+        code, out, _ = run_cli(capsys, "benchmark", "--b", "0", "--format", "json")
+        err = assert_error_object(code, out, "lam")
+        assert err["message"] == "command 'benchmark' requires --lambda"
+
+
+class TestConfigIsTheCommandLine:
+    """A --config file is parsed as the flags it spells."""
+
+    def test_values_are_read_as_flag_text(self, capsys, tmp_path):
+        # a string "1" is the text of --omega0 1
+        params = {"omega0": "1", "omega1": 2, "B": 0.3}
+        code, out, _ = run_config(capsys, tmp_path, {
+            "command": "spectrum", "parameters": params, "output_format": "json",
+        })
+        assert code == 0
+        _, flag_out, _ = run_cli(capsys, "spectrum", "--omega0", "1", "--omega1", "2",
+                                 "--B", "0.3", "--format", "json")
+        assert out == flag_out
+
+    def test_parameter_names_map_to_flags(self, capsys, tmp_path):
+        argv = ("scaling", "--b", "0", "--lambdas", "16,20,25", "--K-hint", "1.5",
+                "--points", "1501", "--x-min", "-3", "--x-max", "3", "--format", "csv")
+        _, flag_out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_config(capsys, tmp_path, {
+            "command": "scaling",
+            "parameters": {"b": 0, "lambdas": [16, 20, 25], "k_hint": 1.5, "points": 1501,
+                           "x_min": -3, "x_max": 3},
+            "output_format": "csv",
+        })
+        assert code == 0 and out == flag_out
+        _, flag_out, _ = run_cli(capsys, "spectrum", "--omega0", "1.5", "--omega1", "1.5",
+                                 "--K", "2", "--S-inst", "1", "--format", "json")
+        _, out, _ = run_config(capsys, tmp_path, {
+            "command": "spectrum", "parameters": {"omega0": 1.5, "omega1": 1.5, "K": 2, "s_inst": 1},
+            "output_format": "json",
+        })
+        assert out == flag_out
+
+    @pytest.mark.parametrize("config, code, parameter", [
+        ({"command": "spectrum", "parameters": {"omega0": 1, "omega1": 2, "B": 0.3, "bogus": 1}},
+         "usage", "bogus"),
+        ({"command": "spectrum", "parameters": {"omega0": 1, "omega1": 2, "B": 0.3}, "bogus": 1},
+         "usage", "bogus"),
+        ({"command": "spectrum", "parameters": {"omega0": 1, "omega1": 2, "lam": 4}}, "usage", "lam"),
+        ({"command": "spectrum", "parameters": {"omega0": 1, "omega1": 2, "format": "csv"}},
+         "usage", "format"),
+        ({"command": "spectrum", "parameters": {"omega0": "x", "omega1": 2, "B": 0.3}}, "usage", None),
+        ({"command": "spectrum", "parameters": {"omega0": True, "omega1": 2, "B": 0.3}}, "usage", None),
+        ({"command": "spectrum", "parameters": [1, 2]}, "bad-value", "parameters"),
+        ([1, 2], "bad-value", "config"),
+    ])
+    def test_bad_config_is_error_object(self, capsys, tmp_path, config, code, parameter):
+        if isinstance(config, dict):
+            config = {**config, "output_format": "json"}
+        status, out, err = run_config(capsys, tmp_path, config)
+        if isinstance(config, list):  # no output_format to follow
+            assert status == 2 and out == ""
+            assert err == "error: config must be a JSON object\n"
+            return
+        assert status == 2 and err == ""
+        error = assert_error_object(status, out)
+        assert (error["code"], error["parameter"]) == (code, parameter)
+
+    def test_unknown_format_is_usage_error_on_both_paths(self, capsys, tmp_path):
+        argv = ("spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3", "--format", "xml")
+        flag_code, _, flag_err = run_cli(capsys, *argv)
+        config = {"command": "spectrum", "parameters": {"omega0": 1, "omega1": 2, "B": 0.3},
+                  "output_format": "xml"}
+        config_code, _, config_err = run_config(capsys, tmp_path, config)
+        assert flag_code == config_code == 2
+        assert flag_err == config_err
+
+    def test_config_and_command_together_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": "spectrum", "parameters": {"omega0": 1, "omega1": 2,
+                                                                         "B": 0.3}}))
+        code, out, _ = run_cli(capsys, "--config", str(path), "spectrum", "--format", "json")
+        assert assert_error_object(code, out, "config")["code"] == "usage"
 
 
 WELL = ("--omega0", "2", "--omega1", "1", "--B", "0.5")
@@ -321,6 +427,27 @@ class TestBoundary:
         assert err == ""
         assert assert_error_object(code, out)["code"] == "SpectrumError"
 
+    def test_extreme_asymmetry_is_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--omega0", "1", "--omega1", "1e308", "--B", "1",
+                               "--format", "json")
+        assert code == 0
+        assert all(math.isfinite(v) for v in strict_json(out).values())
+        code, out, _ = run_cli(capsys, "sum", "--omega0", "1", "--omega1", "1e200", "--B", "1e-200",
+                               "--T", "1", "--format", "json")
+        assert code == 0
+        data = strict_json(out)
+        assert data["partial"] == data["closed"] == 0.0
+
+    @pytest.mark.parametrize("method", ["closed", "recursive", "quadrature", "all"])
+    @pytest.mark.parametrize("B, T", [("0.5", "1e4"), ("0.5", "1e7"), ("0.5", "1e300"), ("1e300", "2")])
+    def test_moment_beyond_float64_is_error_object(self, capsys, method, B, T):
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "3", "--m", "3", "--omega0", "1", "--omega1", "2",
+            "--B", B, "--T", T, "--method", method, "--format", "json",
+        )
+        assert code == 1 and err == ""
+        assert assert_error_object(code, out, "method")["code"] == "numerical"
+
     def test_non_finite_result_is_error_object(self, capsys):
         # finite inputs whose levels overflow: (w0 + w1)/4 is infinite
         argv = ("spectrum", "--omega0", "1e308", "--omega1", "1e308", "--B", "1")
@@ -338,10 +465,7 @@ _FLOAT_TEXT = st.one_of(
 _SPECTRUM_FLAGS = ("--omega0", "--omega1", "--B", "--K", "--S-inst", "--T")
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.sampled_from(_SPECTRUM_FLAGS), _FLOAT_TEXT))
-def test_spectrum_output_is_finite_json_or_error_object(flags):
-    argv = ["spectrum", *(f"{flag}={value}" for flag, value in sorted(flags.items())), "--format", "json"]
+def assert_finite_spectrum_or_error_object(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -351,3 +475,34 @@ def test_spectrum_output_is_finite_json_or_error_object(flags):
     data = strict_json(out.getvalue())
     assert set(data) == {"e_plus", "e_minus", "gap", "amplitude_coefficient"}
     assert all(math.isfinite(v) for v in data.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SPECTRUM_FLAGS), _FLOAT_TEXT))
+@example({"--omega0": "1", "--omega1": "1e308", "--B": "1"})  # (d / 2B)^2 overflows
+def test_spectrum_output_is_finite_json_or_error_object(flags):
+    argv = ["spectrum", *(f"{flag}={value}" for flag, value in sorted(flags.items())), "--format", "json"]
+    assert_finite_spectrum_or_error_object(argv)
+
+
+_JSON_VALUE = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
+)
+_SPECTRUM_KEYS = ("omega0", "omega1", "B", "K", "s_inst", "T", "bogus")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SPECTRUM_KEYS), _JSON_VALUE))
+@example({"omega0": "1", "omega1": 2, "B": 0.3})
+@example({"omega0": 1, "omega1": 2, "B": 0.3, "bogus": 1})
+def test_spectrum_config_is_finite_json_or_error_object(parameters):
+    config = {"command": "spectrum", "parameters": parameters, "output_format": "json"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(config))
+        assert_finite_spectrum_or_error_object(["--config", str(path)])

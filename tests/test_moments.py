@@ -151,7 +151,7 @@ class TestMultiInstanton:
         params = WellParameters(omega0=1.0, omega1=1.0, T=2.0, B=0.3)
         val = multi_instanton(0, params)
         assert val.full == pytest.approx(0.6 * exp(-1.0), rel=1e-12)
-        assert val.method == "symmetric-limit"
+        assert val.method == "quadrature"
 
     def test_three_event_matches_quadrature(self):
         val = multi_instanton(1, P_EXAMPLE)
