@@ -24,6 +24,11 @@ direct quadrature of the integral, the integration-by-parts recursion
 Both the recursion and the closed form cancel catastrophically for small
 |d| T or large |B/d|; evaluation escalates to mpmath arithmetic when the
 predicted digit loss exceeds what float64 carries.
+
+Quadrature is the oracle.  It is also the production route of
+multi_instanton below |d| T = 0.1, and it is the only route that loads
+scipy.integrate: the import happens on its first call, so commands that
+never integrate never pay for it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from math import comb, exp, factorial, lgamma, log, log10
 
 import mpmath as mp
-from scipy.integrate import quad
 
 from .potential import WellParameters
 
@@ -94,6 +98,13 @@ class MomentValue:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad; scipy.integrate is imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _as_key(key):
@@ -295,8 +306,8 @@ def moment_quadrature(key, params):
     n, m = key.n, key.m
     if params.B is None:
         raise ValueError("params.B required")
-    if not params.B > 0.0:
-        raise ValueError("quadrature route requires B > 0")
+    if params.B == 0.0:
+        return MomentValue(0.0, 0.0, "quadrature")
     d, b, t = params.delta, params.B, params.T
     fn, fm = float(factorial(n)), float(factorial(m))
 
@@ -338,10 +349,7 @@ def multi_instanton(i, params):
         raise ValueError("i must be >= 0")
     if params.B is None:
         raise ValueError("params.B required")
-    near_symmetric = abs(params.delta) * params.T < 1e-1
-    if params.B == 0.0:
-        return MomentValue(0.0, 0.0, "quadrature" if near_symmetric else "closed")
-    if near_symmetric:
+    if abs(params.delta) * params.T < 1e-1:
         return moment_quadrature(MomentKey(i, i), params)
     return moment_closed(MomentKey(i, i), params)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .potential import PolynomialPotential, find_minima, well_parameters
 from .spectrum import extract_coupling
@@ -162,6 +161,9 @@ def lowest_eigenvalues(operator, count):
         raise BracketError(
             f"cannot find {count} eigenvalues of a {operator.size}-row operator"
         )
+    # imported here so that commands without an eigenproblem never load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     off = np.full(operator.size - 1, operator.off_diagonal)
     eigs = eigh_tridiagonal(
         operator.diagonal, off, eigvals_only=True, select="i",

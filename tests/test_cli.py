@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,16 @@ class TestMomentsCommand:
         assert code == 2
         assert json.loads(out)["code"] == "bad-value"
 
+    def test_zero_coupling_gives_zero_rows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "0", "--m", "0", "--omega0", "1",
+            "--omega1", "2", "--B", "0", "--T", "2", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        rows = strict_json(out)["rows"]
+        assert [r["method"] for r in rows] == ["closed", "recursive", "quadrature"]
+        assert all(r["stripped"] == r["full"] == 0.0 for r in rows)
+
     def test_depth_beyond_cap_is_error_object(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--n", "70", "--m", "3", "--omega0", "2",
@@ -200,6 +211,17 @@ class TestBenchmarkCommands:
         lines = out.splitlines()
         assert lines[0].startswith("lambda,s_inst,omega0")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("b", ["1.9", "1.99", "-1.99"])
+    def test_near_degenerate_factor_is_silent(self, capsys, b):
+        # x^2 + b x + 1 nearly vanishes next to a minimum: the action is
+        # still computed without a warning on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "benchmark", "--lambda", "16", "--b", b, "--format", "json")
+        assert code == 0
+        assert err == "" and caught == []
+        assert math.isfinite(strict_json(out)["s_inst"])
 
     def test_scaling_errors_cleanly_when_unusable(self, capsys):
         code, out, _ = run_cli(

@@ -1,0 +1,64 @@
+"""Import budget: the CLI loads only the parts of scipy that a command calls.
+
+Every check runs in a fresh interpreter, because the test session itself
+has already imported scipy.integrate (pytest resolves the IntegrationWarning
+filter of pyproject.toml when it starts).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_SCRIPT = """
+import contextlib, io, json, sys
+import instanton_gas.cli as cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+_WELL = ("--omega0", "1", "--omega1", "2", "--B", "0.3")
+
+
+def scipy_loaded(*argv):
+    """scipy modules loaded after importing the CLI and running argv, if given."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_loaded() == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", *_WELL),
+    ("sum", *_WELL, "--T", "2", "--terms", "5"),
+])
+def test_closed_form_commands_leave_scipy_unloaded(argv):
+    assert scipy_loaded(*argv) == set()
+
+
+def test_benchmark_loads_linalg_not_integrate():
+    loaded = scipy_loaded(
+        "benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3",
+    )
+    assert "scipy.linalg" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_quadrature_oracle_loads_integrate():
+    loaded = scipy_loaded("moments", "--n", "1", "--m", "1", *_WELL, "--T", "2", "--method", "quadrature")
+    assert "scipy.integrate" in loaded

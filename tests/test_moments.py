@@ -57,10 +57,10 @@ class TestQuadrature:
         assert moment_quadrature((1, 1), P_EXAMPLE).stripped == pytest.approx(I_S_11, rel=1e-12)
         assert moment_quadrature((2, 1), P_EXAMPLE).stripped == pytest.approx(I_S_21, rel=1e-12)
 
-    def test_requires_positive_b(self):
+    def test_zero_b_gives_zero(self):
+        # no tunneling, no amplitude: the same zero as the closed form and recursion
         params = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=0.0)
-        with pytest.raises(ValueError):
-            moment_quadrature((0, 0), params)
+        assert moment_quadrature((0, 0), params) == MomentValue(0.0, 0.0, "quadrature")
 
 
 class TestRecursive:

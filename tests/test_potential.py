@@ -2,6 +2,7 @@ import math
 
 import pytest
 import sympy
+from numpy.polynomial import polynomial as npoly
 
 from instanton_gas.potential import (
     AsymmetricDepthsError,
@@ -23,6 +24,16 @@ PRODUCT = PolynomialPotential((1.0, 0.5, -1.0, -1.0, -1.0, 0.5, 1.0))
 # frozen tanh-sinh quadrature oracle values (mpmath, 30 digits)
 S_QUARTIC = 1.8856180831641267  # = 4 sqrt(2) / 3
 S_PRODUCT = 2.0507038700265397
+# the action of (x^2-1)^2 (x^2 + b x + 1) on [-1, 1] by mpmath.quad at 40
+# digits, split at x = -b/2
+BENCHMARK_ACTIONS = [
+    (0.0, 2.0580631003505765),
+    (0.5, 2.0507038700265396),
+    (-1.2, 2.0123766669486125),
+    (1.9, 1.9153898852967595),
+    (1.99, 1.8895976433256367),
+    (1.999, 1.8860627053875874),
+]
 
 
 def sympy_second_derivative(potential, x0):
@@ -123,6 +134,21 @@ class TestInstantonAction:
         # endpoints on the outer walls: the wells dip below their level
         with pytest.raises(PotentialError, match="below well floor"):
             instanton_action(QUARTIC, -2.0, 2.0)
+
+    @pytest.mark.parametrize("b, action", BENCHMARK_ACTIONS)
+    def test_benchmark_family_against_mpmath(self, b, action):
+        # (x^2-1)^2 (x^2 + b x + 1); near b = 2 the last factor nearly
+        # vanishes at x = -b/2, next to the left minimum
+        coeffs = (1.0, b, -1.0, -2.0 * b, -1.0, b, 1.0)
+        s = instanton_action(PolynomialPotential(coeffs), -1.0, 1.0)
+        assert s == pytest.approx(action, rel=1e-12)
+
+    def test_unresolved_action_rejected(self):
+        # (x^2-1)^2 ((x-0.3)^2 + 1e-4): the integrand has a near-kink at 0.3
+        # that 64 and 128 Gauss-Legendre nodes resolve differently
+        coeffs = npoly.polymul(npoly.polymul((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)), (0.0901, -0.6, 1.0))
+        with pytest.raises(PotentialError, match="not resolved"):
+            instanton_action(PolynomialPotential(tuple(coeffs)), -1.0, 1.0)
 
 
 class TestWellParameters:
