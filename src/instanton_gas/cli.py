@@ -21,6 +21,7 @@ from .moments import (
     MomentError,
     MomentKey,
     MomentKeyError,
+    MomentParameterError,
     moment_closed,
     moment_quadrature,
     moment_recursive,
@@ -34,7 +35,13 @@ from .schrodinger import (
     benchmark_point,
     scaling_study,
 )
-from .spectrum import SpectrumError, energies, gas_sum_closed, gas_sum_partial
+from .spectrum import (
+    SpectrumError,
+    SpectrumParameterError,
+    energies,
+    gas_sum_closed,
+    gas_sum_partial,
+)
 from .triangle import TriangleError, build_triangle, verify_column_relations
 
 FORMATS = ("csv", "json", "table")
@@ -386,7 +393,11 @@ def main(argv=None):
             if getattr(ns, name) is None:
                 message = f"command {ns.command!r} requires {flags[name]}"
                 raise CliError("missing-parameter", message, name)
-        obj, csv_text, table_text = ns.run(ns)
+        try:
+            obj, csv_text, table_text = ns.run(ns)
+        except (MomentParameterError, SpectrumParameterError) as exc:
+            code = "missing-parameter" if exc.missing else "bad-value"
+            raise CliError(code, str(exc), exc.parameter)
         # rendered in every format, so that no format prints NaN or infinity
         texts = {"json": _json(obj), "csv": csv_text, "table": table_text}
         _emit(texts[ns.format], ns.output)

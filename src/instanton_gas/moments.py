@@ -23,7 +23,8 @@ direct quadrature of the integral, the integration-by-parts recursion
 
 Both the recursion and the closed form cancel catastrophically for small
 |d| T or large |B/d|; evaluation escalates to mpmath arithmetic when the
-predicted digit loss exceeds what float64 carries.
+predicted digit loss exceeds what float64 carries.  mpmath is imported on
+the first escalation, so evaluations that stay in float64 never load it.
 
 Quadrature is the oracle.  It is also the production route of
 multi_instanton below |d| T = 0.1, and it is the only route that loads
@@ -37,8 +38,6 @@ import math
 import sys
 from dataclasses import dataclass
 from math import comb, exp, factorial, lgamma, log, log10
-
-import mpmath as mp
 
 from .potential import WellParameters
 
@@ -71,6 +70,15 @@ class SymmetricLimitError(MomentError):
 
 class MomentKeyError(MomentError, ValueError):
     """Index pair negative or beyond DEPTH_CAP."""
+
+
+class MomentParameterError(MomentError, ValueError):
+    """An argument outside its domain, or absent (`missing`); `parameter` names it."""
+
+    def __init__(self, parameter, message, missing=False):
+        super().__init__(message)
+        self.parameter = parameter
+        self.missing = missing
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,11 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
+def _require_b(params):
+    if params.B is None:
+        raise MomentParameterError("B", "params.B required", missing=True)
+
+
 def _as_key(key):
     if isinstance(key, MomentKey):
         return key
@@ -124,8 +137,8 @@ def _predicted_digit_loss(n, m, params):
     b, d, t = params.B, params.delta, params.T
     if b == 0.0:
         return 0.0
-    log_r = log10(b) - log10(abs(d))  # b / d itself may underflow
-    log_bt = log10(b * t)
+    log_r = log10(b) - log10(abs(d))  # b / d and b t themselves may underflow
+    log_bt = log10(b) + log10(t)
     half = abs(d) * t / 2.0 * _LOG10_E
 
     def branch_max(outer, inner, sign_exp):
@@ -143,7 +156,7 @@ def _predicted_digit_loss(n, m, params):
         return best
 
     max_term = max(branch_max(n, m, half), branch_max(m, n, half))
-    lower = (n + m + 1) * log10(b * t) - lgamma(n + m + 2) * _LOG10_E - half
+    lower = (n + m + 1) * log_bt - lgamma(n + m + 2) * _LOG10_E - half
     return max(0.0, max_term - lower)
 
 
@@ -208,8 +221,7 @@ def moment_closed(key, params):
     """
     key = _as_key(key)
     n, m = key.n, key.m
-    if params.B is None:
-        raise ValueError("params.B required")
+    _require_b(params)
     if params.delta == 0.0:
         raise SymmetricLimitError("delta = 0: use moment_symmetric")
     if params.B == 0.0:
@@ -224,6 +236,8 @@ def moment_closed(key, params):
         e_minus = exp(-d * t / 2.0)
         stripped = _neumaier_sum(_closed_terms(n, m, r, bt, e_plus, e_minus))
     else:
+        import mpmath as mp
+
         with mp.workdps(dps):
             dm, bm, tm = mp.mpf(d), mp.mpf(b), mp.mpf(t)
             r = bm / dm
@@ -256,8 +270,7 @@ def moment_recursive(max_n, max_m, params):
     Requires delta != 0 (every rule divides by it).  Values are stripped of
     the common prefactor; the full value restores it.
     """
-    if params.B is None:
-        raise ValueError("params.B required")
+    _require_b(params)
     MomentKey(max_n, max_m)  # the same index limits as every other route
     if params.delta == 0.0 or abs(params.delta) * params.T < 1e-12:
         raise SymmetricLimitError(
@@ -289,6 +302,8 @@ def moment_recursive(max_n, max_m, params):
     if dps is None:
         raw = fill(b / d, b * t, exp(d * t / 2.0), exp(-d * t / 2.0), factorial)
     else:
+        import mpmath as mp
+
         with mp.workdps(dps):
             dm, bm, tm = mp.mpf(d), mp.mpf(b), mp.mpf(t)
             raw = fill(bm / dm, bm * tm, mp.exp(dm * tm / 2), mp.exp(-dm * tm / 2), mp.factorial)
@@ -304,8 +319,7 @@ def moment_quadrature(key, params):
     """Adaptive Gauss-Kronrod evaluation of I(n, m); the oracle route."""
     key = _as_key(key)
     n, m = key.n, key.m
-    if params.B is None:
-        raise ValueError("params.B required")
+    _require_b(params)
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "quadrature")
     d, b, t = params.delta, params.B, params.T
@@ -335,7 +349,12 @@ def moment_symmetric(key, B, T, omega):
     """
     key = _as_key(key)
     n, m = key.n, key.m
-    stripped = B ** (n + m + 1) * T ** (n + m + 1) / float(factorial(n + m + 1))
+    try:
+        stripped = B ** (n + m + 1) * T ** (n + m + 1) / float(factorial(n + m + 1))
+    except OverflowError:
+        stripped = math.inf
+    if not math.isfinite(stripped):
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
     return MomentValue(stripped, stripped * exp(-omega * T / 2.0), "symmetric-limit")
 
 
@@ -346,9 +365,8 @@ def multi_instanton(i, params):
     above it the closed form (escalating to mpmath where float64 would cancel).
     """
     if i < 0:
-        raise ValueError("i must be >= 0")
-    if params.B is None:
-        raise ValueError("params.B required")
+        raise MomentParameterError("i", "i must be >= 0")
+    _require_b(params)
     if abs(params.delta) * params.T < 1e-1:
         return moment_quadrature(MomentKey(i, i), params)
     return moment_closed(MomentKey(i, i), params)

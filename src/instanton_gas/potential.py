@@ -5,21 +5,19 @@ omega = sqrt(V'') and its ground level omega/2.  The tunneling suppression
 exponent between two degenerate minima x0 < x1 is the zero-energy action
 
     S = integral_{x0}^{x1} sqrt(2 (V(x) - V(x0))) dx.
+
+numpy is imported by the functions that compute with it, and the
+Gauss-Legendre rules of instanton_action are built on its first call, so
+importing the module (and every command that only reads WellParameters)
+loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import exp, isfinite, sqrt
 
-import numpy as np
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
-
-# Gauss-Legendre rules on [-1, 1] for instanton_action, built once: building
-# them costs more than the integration itself.
-_GAUSS_COARSE = leggauss(64)
-_GAUSS_FINE = leggauss(128)
 # Relative disagreement of the two rules beyond which the action is refused.
 _ACTION_RTOL = 1e-10
 
@@ -83,9 +81,13 @@ class PolynomialPotential:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
+        from numpy.polynomial import polynomial as npoly
+
         return npoly.polyval(x, self.coefficients)
 
     def derivative(self, x, order=1):
+        from numpy.polynomial import polynomial as npoly
+
         return npoly.polyval(x, npoly.polyder(self.coefficients, order))
 
 
@@ -140,6 +142,9 @@ class WellParameters:
 
 
 def _real_roots(coeffs):
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
     roots = npoly.polyroots(np.asarray(coeffs, dtype=float))
     out = []
     for z in roots:
@@ -149,6 +154,8 @@ def _real_roots(coeffs):
 
 
 def _merge_close(values, radius):
+    import numpy as np
+
     merged = []
     for v in sorted(values):
         if merged and abs(v - merged[-1][-1]) <= radius(v):
@@ -167,6 +174,8 @@ def find_minima(potential, curvature_tol=1e-6):
     kept but flagged non-harmonic.  Maxima and inflections are dropped.
     Returns minima sorted by location; raises NoWellsError if none remain.
     """
+    from numpy.polynomial import polynomial as npoly
+
     dcoeffs = npoly.polyder(potential.coefficients)
     candidates = _real_roots(dcoeffs)
     if not candidates:
@@ -239,8 +248,17 @@ def _is_local_minimum(potential, x, h=1e-3):
     return potential(x - step) >= v0 - 1e-12 and potential(x + step) >= v0 - 1e-12
 
 
-def _gauss_legendre(f, a, b, rule):
-    nodes, weights = rule
+@cache
+def _gauss_rule(n):
+    """The n-node Gauss-Legendre rule on [-1, 1], built on first use: building
+    it costs more than an integration with it."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
+
+
+def _gauss_legendre(f, a, b, n):
+    nodes, weights = _gauss_rule(n)
     half = 0.5 * (b - a)
     return half * float(weights @ f(0.5 * (a + b) + half * nodes))
 
@@ -256,6 +274,9 @@ def instanton_action(potential, x0, x1):
     more than 1e-10 relative (q nearly vanishes inside the interval, or an
     endpoint is not a minimum).
     """
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
     if not x0 < x1:
         raise PotentialError("need x0 < x1")
     floor = 0.5 * (float(potential(x0)) + float(potential(x1)))
@@ -269,8 +290,8 @@ def instanton_action(potential, x0, x1):
     def integrand(x):
         return np.sqrt(2.0 * np.maximum(npoly.polyval(x, potential.coefficients) - floor, 0.0))
 
-    coarse = _gauss_legendre(integrand, x0, x1, _GAUSS_COARSE)
-    fine = _gauss_legendre(integrand, x0, x1, _GAUSS_FINE)
+    coarse = _gauss_legendre(integrand, x0, x1, 64)
+    fine = _gauss_legendre(integrand, x0, x1, 128)
     if abs(fine - coarse) > _ACTION_RTOL * abs(fine):
         raise PotentialError(
             f"action not resolved: the 64- and 128-node rules differ by "

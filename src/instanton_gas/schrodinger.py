@@ -14,17 +14,22 @@ coupling should scale like e^(-S) with the tunneling action S.
 The gap is a difference of two eigenvalues of a matrix whose norm is about
 2/h^2, so it carries an absolute floor near 1e-10 on the default grids:
 symmetric wells lose their gap from lam ~ 130 on.
+
+numpy and scipy.linalg are imported by the functions that compute with
+them, so importing the module for its grid defaults loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .potential import PolynomialPotential, find_minima, well_parameters
 from .spectrum import extract_coupling
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GRID = None  # set below, after GridSpec is defined
 
@@ -72,6 +77,8 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.points - 1)
 
     def array(self):
+        import numpy as np
+
         return np.linspace(self.x_min, self.x_max, self.points)
 
     def refined(self):
@@ -108,6 +115,8 @@ def discretize(potential, grid, min_boundary_potential=None):
     polynomial potentials of this package, or a plain function for
     validation cases like the harmonic oscillator).
     """
+    import numpy as np
+
     x = grid.array()
     if min_boundary_potential is not None:
         v_edge = min(float(potential(x[0])), float(potential(x[-1])))
@@ -161,7 +170,7 @@ def lowest_eigenvalues(operator, count):
         raise BracketError(
             f"cannot find {count} eigenvalues of a {operator.size}-row operator"
         )
-    # imported here so that commands without an eigenproblem never load scipy
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
     off = np.full(operator.size - 1, operator.off_diagonal)
@@ -276,6 +285,8 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
     predicted by the splitting formula at that prefactor is attached per
     record as `predicted_gaps`.
     """
+    import numpy as np
+
     lambdas = [float(v) for v in lambdas]
     if lambdas != sorted(lambdas):
         raise SolverError("lambdas must be ascending")

@@ -30,6 +30,22 @@ class SpectrumError(ArithmeticError):
     """A spectrum quantity is not representable in float64, or fails its self-check."""
 
 
+class SpectrumParameterError(SpectrumError, ValueError):
+    """An argument outside its domain, or absent (`missing`); `parameter` names it."""
+
+    def __init__(self, parameter, message, missing=False):
+        super().__init__(message)
+        self.parameter = parameter
+        self.missing = missing
+
+
+def _require_b(params):
+    if params.B is None:
+        raise SpectrumParameterError(
+            "B", "params.B required (supply B or the pair K, s_inst)", missing=True
+        )
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Two-level energies, their gap, and the summed amplitude coefficient."""
@@ -56,6 +72,23 @@ def _amplitude_coefficient(delta, b):
         return 0.5 / abs(ratio)
 
 
+def _levels(omega0, omega1, coupling):
+    """E+ <= E- of [[w0/2, B], [B, w1/2]], and the root sqrt(d^2/4 + B^2).
+
+    E+ = mean - root cancels where root nears mean (e.g. w1 >> w0); there it
+    is taken from the product E+ E- = w0 w1/4 - B^2, each term divided by
+    mean + root first so that nothing overflows.
+    """
+    mean = (omega0 + omega1) / 4.0
+    root = hypot((omega0 - omega1) / 4.0, coupling)
+    e_plus = mean - root
+    if abs(e_plus) < mean / 10.0:
+        lo, hi = sorted((omega0, omega1))
+        total = mean + root
+        e_plus = (lo / 2.0) * ((hi / 2.0) / total) - coupling * (coupling / total)
+    return e_plus, mean + root, root
+
+
 def energies(params):
     """Level energies E_pm and gap for the given well parameters.
 
@@ -64,9 +97,8 @@ def energies(params):
     algebraically identical gap expressions are evaluated as a self-check.
     B = 0 takes the exact decoupled branch: the bare harmonic levels.
     """
+    _require_b(params)
     b = params.B
-    if b is None:
-        raise ValueError("params.B required (supply B or the pair K, s_inst)")
     w0, w1, d = params.omega0, params.omega1, params.delta
     if b == 0.0 and d == 0.0:
         # degenerate doublet: coincident levels rather than an error
@@ -75,8 +107,7 @@ def energies(params):
     if b == 0.0:
         lo, hi = min(w0, w1) / 2.0, max(w0, w1) / 2.0
         return SpectrumResult(lo, hi, hi - lo, 0.0)
-    mean = (w0 + w1) / 4.0
-    root = hypot(d / 2.0, b)
+    e_plus, e_minus, root = _levels(w0, w1, b)
     gap = 2.0 * root
     if params.K is not None and params.s_inst is not None:
         alt = hypot((w1 - w0) / 2.0, 2.0 * params.K * exp(-params.s_inst))
@@ -84,7 +115,7 @@ def energies(params):
             raise SpectrumError(
                 f"gap self-check failed: {gap!r} vs {alt!r} from (K, s_inst)"
             )
-    return SpectrumResult(mean - root, mean + root, gap, _amplitude_coefficient(d, b))
+    return SpectrumResult(e_plus, e_minus, gap, _amplitude_coefficient(d, b))
 
 
 def gas_sum_closed(params):
@@ -94,8 +125,7 @@ def gas_sum_closed(params):
     tunneling path connects the wells).  Raises SpectrumError when
     e^(-E+ T) overflows float64.
     """
-    if params.B is None:
-        raise ValueError("params.B required")
+    _require_b(params)
     if params.B == 0.0:
         return 0.0
     res = energies(params)
@@ -142,11 +172,12 @@ def gas_sum_partial(params, n_terms=None):
     smallest float64 is 0.0 without being evaluated, which keeps large T
     finite and fast.  Returns (sum, terms).
     """
+    _require_b(params)
     terms = []
     total = 0.0
     if n_terms is not None:
         if n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
+            raise SpectrumParameterError("n_terms", "n_terms must be >= 1")
         for i in range(n_terms):
             t = _term(i, params)
             terms.append(t)
@@ -164,21 +195,14 @@ def gas_sum_partial(params, n_terms=None):
 def truncated_hamiltonian(omega0, omega1, coupling):
     """Eigenvalues of the two-state matrix [[w0/2, B'], [B', w1/2]].
 
-    Evaluated by the stable quadratic formula (mean -+ hypot of
-    quarter-difference and coupling); coincides with energies() at B = B'.
+    Evaluated by the same stable formula as energies(), with which it
+    coincides at B = B'.
     """
     if coupling < 0:
-        raise ValueError("coupling must be >= 0")
-    mean = (omega0 + omega1) / 4.0
-    quarter_diff = (omega0 - omega1) / 4.0
-    root = hypot(quarter_diff, coupling)
+        raise SpectrumParameterError("coupling", "coupling must be >= 0")
+    e_plus, e_minus, root = _levels(omega0, omega1, coupling)
     delta = (omega0 - omega1) / 2.0
-    return SpectrumResult(
-        mean - root,
-        mean + root,
-        2.0 * root,
-        _amplitude_coefficient(delta, coupling),
-    )
+    return SpectrumResult(e_plus, e_minus, 2.0 * root, _amplitude_coefficient(delta, coupling))
 
 
 class CouplingEstimate(NamedTuple):
@@ -195,7 +219,7 @@ def extract_coupling(measured_gap, omega0, omega1):
     bare level offset clamps to 0 and is flagged asymmetry-dominated.
     """
     if measured_gap < 0:
-        raise ValueError("measured_gap must be >= 0")
+        raise SpectrumParameterError("measured_gap", "measured_gap must be >= 0")
     disc = measured_gap**2 - (omega1 - omega0) ** 2 / 4.0
     if disc <= 0.0:
         return CouplingEstimate(0.0, True)

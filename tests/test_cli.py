@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from instanton_gas import cli
 from instanton_gas.cli import main
+from instanton_gas.moments import multi_instanton
+from instanton_gas.potential import WellParameters
+from instanton_gas.spectrum import energies, extract_coupling, gas_sum_partial, truncated_hamiltonian
 
 
 def run_cli(capsys, *argv):
@@ -453,12 +457,32 @@ class TestBoundary:
         code, out, _ = run_cli(capsys, "spectrum", "--omega0", "1", "--omega1", "1e308", "--B", "1",
                                "--format", "json")
         assert code == 0
-        assert all(math.isfinite(v) for v in strict_json(out).values())
+        data = strict_json(out)
+        assert all(math.isfinite(v) for v in data.values())
+        # mean - root cancels to 0.0 here; the lower level is about w0/2 = 0.5
+        assert data["e_plus"] == pytest.approx(0.5, rel=1e-15)
         code, out, _ = run_cli(capsys, "sum", "--omega0", "1", "--omega1", "1e200", "--B", "1e-200",
                                "--T", "1", "--format", "json")
         assert code == 0
         data = strict_json(out)
         assert data["partial"] == data["closed"] == 0.0
+
+    @pytest.mark.parametrize("fail, code, parameter", [
+        (lambda p: multi_instanton(0, WellParameters(1.0, 2.0, 1.0)), "missing-parameter", "B"),
+        (lambda p: multi_instanton(-1, p), "bad-value", "i"),
+        (lambda p: energies(WellParameters(1.0, 2.0, 1.0)), "missing-parameter", "B"),
+        (lambda p: gas_sum_partial(p, 0), "bad-value", "n_terms"),
+        (lambda p: truncated_hamiltonian(1.0, 2.0, -1.0), "bad-value", "coupling"),
+        (lambda p: extract_coupling(-1.0, 1.0, 2.0), "bad-value", "measured_gap"),
+    ])
+    def test_package_parameter_error_is_error_object(self, capsys, monkeypatch, fail, code, parameter):
+        monkeypatch.setattr(cli, "energies", fail)
+        argv = ("spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3")
+        exit_code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert exit_code == 2 and err == ""
+        assert assert_error_object(exit_code, out, parameter)["code"] == code
+        exit_code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert exit_code == 2 and out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("method", ["closed", "recursive", "quadrature", "all"])
     @pytest.mark.parametrize("B, T", [("0.5", "1e4"), ("0.5", "1e7"), ("0.5", "1e300"), ("1e300", "2")])
@@ -487,7 +511,17 @@ _FLOAT_TEXT = st.one_of(
 _SPECTRUM_FLAGS = ("--omega0", "--omega1", "--B", "--K", "--S-inst", "--T")
 
 
-def assert_finite_spectrum_or_error_object(argv):
+def _numbers(value):
+    """Every int or float inside a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def assert_finite_json_or_error_object(argv, keys):
+    """Exit 0 with strict JSON holding `keys` and finite numbers only, or the error object."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -495,8 +529,12 @@ def assert_finite_spectrum_or_error_object(argv):
         assert_error_object(code, out.getvalue())
         return
     data = strict_json(out.getvalue())
-    assert set(data) == {"e_plus", "e_minus", "gap", "amplitude_coefficient"}
-    assert all(math.isfinite(v) for v in data.values())
+    assert set(data) == keys
+    assert all(math.isfinite(v) for v in _numbers(data))
+
+
+def assert_finite_spectrum_or_error_object(argv):
+    assert_finite_json_or_error_object(argv, {"e_plus", "e_minus", "gap", "amplitude_coefficient"})
 
 
 @settings(max_examples=150, deadline=None)
@@ -528,3 +566,73 @@ def test_spectrum_config_is_finite_json_or_error_object(parameters):
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(config))
         assert_finite_spectrum_or_error_object(["--config", str(path)])
+
+
+def _flags(valid, wild):
+    """Flag dicts: each flag of `valid` drawn in its domain, then at most one flag of `wild`
+    replaced by its wild text, or dropped where None is drawn."""
+
+    def apply(flags, change):
+        flags = {**flags, **change}
+        return {flag: value for flag, value in flags.items() if value is not None}
+
+    change = st.one_of(*(
+        st.fixed_dictionaries({flag: st.one_of(st.none(), text)}) for flag, text in wild.items()
+    ))
+    return st.builds(apply, st.fixed_dictionaries(valid), st.one_of(st.just({}), change))
+
+
+def _argv(command, flags):
+    return [command, *(f"{flag}={value}" for flag, value in sorted(flags.items())), "--format", "json"]
+
+
+_INT_TEXT = st.one_of(st.integers(-3, 70).map(str), st.sampled_from(["1.5", "1e3", "x", ""]))
+_WELL_VALID = {
+    "--omega0": st.floats(0.1, 10.0).map(repr),
+    "--omega1": st.floats(0.1, 10.0).map(repr),
+    "--B": st.floats(0.0, 2.0).map(repr),
+    "--T": st.floats(0.01, 50.0).map(repr),
+}
+_WELL_WILD = dict.fromkeys(_SPECTRUM_FLAGS, _FLOAT_TEXT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flags({**_WELL_VALID, "--terms": st.integers(1, 64).map(str)}, {**_WELL_WILD, "--terms": _INT_TEXT}))
+@example({"--omega0": "1", "--omega1": "1e308", "--B": "1", "--T": "1"})
+def test_sum_output_is_finite_json_or_error_object(flags):
+    assert_finite_json_or_error_object(
+        _argv("sum", flags), {"closed", "partial", "n_terms", "terms", "no_tunneling"}
+    )
+
+
+_METHODS = ("closed", "recursive", "quadrature", "symmetric", "all")
+
+
+# each example may run quadrature or a wide-digit mpmath evaluation, so few of them
+@settings(max_examples=25, deadline=None)
+@given(_flags(
+    {**_WELL_VALID, "--n": st.integers(0, 12).map(str), "--m": st.integers(0, 12).map(str),
+     "--method": st.sampled_from(_METHODS)},
+    {**_WELL_WILD, "--n": _INT_TEXT, "--m": _INT_TEXT, "--method": st.sampled_from(["guess", ""])},
+))
+@example({"--omega0": "1", "--omega1": "1", "--B": "1e308", "--T": "1", "--n": "0", "--m": "1",
+          "--method": "symmetric"})  # B^2 overflows
+@example({"--omega0": "1", "--omega1": "2", "--B": "5e-324", "--T": "0.5", "--n": "0", "--m": "0",
+          "--method": "all"})  # B T underflows to 0
+def test_moments_output_is_finite_json_or_error_object(flags):
+    assert_finite_json_or_error_object(_argv("moments", flags), {"n", "m", "rows"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flags(
+    {"--depth": st.integers(0, 20).map(str),
+     "--ratio": st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 60))},
+    {"--depth": _INT_TEXT,
+     "--ratio": st.one_of(st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9)),
+                          st.sampled_from(["0.4", "1e2", "2/5/3", "-3", "x", ""]))},
+))
+def test_triangle_verify_output_is_finite_json_or_error_object(flags):
+    assert_finite_json_or_error_object(
+        _argv("triangle-verify", flags),
+        {"depth", "ratio", "families", "total_checked", "total_failures"},
+    )

@@ -1,4 +1,4 @@
-"""Import budget: the CLI loads only the parts of scipy that a command calls.
+"""Import budget: the CLI loads only the numpy, mpmath and scipy that a command calls.
 
 Every check runs in a fresh interpreter, because the test session itself
 has already imported scipy.integrate (pytest resolves the IntegrationWarning
@@ -23,14 +23,14 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "mpmath", "scipy"))))
 """
 
 _WELL = ("--omega0", "1", "--omega1", "2", "--B", "0.3")
 
 
-def scipy_loaded(*argv):
-    """scipy modules loaded after importing the CLI and running argv, if given."""
+def heavy_loaded(*argv):
+    """numpy, mpmath and scipy modules loaded after importing the CLI and running argv, if given."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, json.dumps(argv)],
@@ -39,8 +39,25 @@ def scipy_loaded(*argv):
     return set(json.loads(proc.stdout))
 
 
+def scipy_loaded(*argv):
+    return {m for m in heavy_loaded(*argv) if m.split(".")[0] == "scipy"}
+
+
 def test_cli_import_loads_no_scipy():
     assert scipy_loaded() == set()
+
+
+@pytest.mark.parametrize("argv", [(), ("spectrum", *_WELL)])
+def test_cli_import_and_spectrum_load_no_numpy_mpmath_or_scipy(argv):
+    assert heavy_loaded(*argv) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", *_WELL, "--T", "2", "--terms", "40"),
+    ("triangle-verify", "--depth", "12", "--ratio", "2/5"),
+])
+def test_float_and_exact_commands_load_no_numpy(argv):
+    assert not any(m.split(".")[0] == "numpy" for m in heavy_loaded(*argv))
 
 
 @pytest.mark.parametrize("argv", [
@@ -52,9 +69,10 @@ def test_closed_form_commands_leave_scipy_unloaded(argv):
 
 
 def test_benchmark_loads_linalg_not_integrate():
-    loaded = scipy_loaded(
+    loaded = heavy_loaded(
         "benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3",
     )
+    assert "numpy" in loaded
     assert "scipy.linalg" in loaded
     assert "scipy.integrate" not in loaded
 

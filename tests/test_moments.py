@@ -5,7 +5,9 @@ from math import comb, exp, factorial
 import pytest
 
 from instanton_gas.moments import (
+    MomentError,
     MomentKey,
+    MomentParameterError,
     MomentValue,
     SymmetricLimitError,
     moment_closed,
@@ -145,6 +147,12 @@ class TestSymmetric:
             moment_quadrature((2, 1), params).stripped, rel=1e-11
         )
 
+    # B^2 raises OverflowError; B T overflows to inf without one
+    @pytest.mark.parametrize("key, T", [((0, 1), 1.0), ((0, 0), 10.0)])
+    def test_beyond_float64_is_moment_error(self, key, T):
+        with pytest.raises(MomentError, match="exceeds float64"):
+            moment_symmetric(key, B=1e308, T=T, omega=1.0)
+
 
 class TestMultiInstanton:
     def test_single_event_symmetric(self):
@@ -240,3 +248,22 @@ class TestValidation:
         grid = sweep_grid()
         assert len(grid) == 108
         assert all(p.omega0 != p.omega1 for p in grid)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda p: moment_closed((1, 1), p),
+        lambda p: moment_recursive(1, 1, p),
+        lambda p: moment_quadrature((1, 1), p),
+        lambda p: multi_instanton(1, p),
+    ])
+    def test_b_required(self, evaluate):
+        with pytest.raises(MomentParameterError, match="params.B required") as excinfo:
+            evaluate(WellParameters(omega0=1.0, omega1=2.0, T=1.0))
+        assert isinstance(excinfo.value, MomentError) and isinstance(excinfo.value, ValueError)
+        assert excinfo.value.parameter == "B" and excinfo.value.missing
+
+    def test_negative_index(self):
+        params = WellParameters(omega0=1.0, omega1=2.0, T=1.0, B=0.3)
+        with pytest.raises(MomentParameterError, match="i must be >= 0") as excinfo:
+            multi_instanton(-1, params)
+        assert isinstance(excinfo.value, MomentError) and isinstance(excinfo.value, ValueError)
+        assert excinfo.value.parameter == "i" and not excinfo.value.missing

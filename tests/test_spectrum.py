@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from instanton_gas.moments import multi_instanton, sweep_grid
 from instanton_gas.potential import WellParameters
 from instanton_gas.spectrum import (
+    SpectrumError,
+    SpectrumParameterError,
     SpectrumResult,
     energies,
     extract_coupling,
@@ -71,6 +74,26 @@ class TestEnergies:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             SpectrumResult(1.0, 0.5, -0.5, 0.1)
+
+    def test_extreme_asymmetry_keeps_lower_level(self):
+        # mean - root cancels to 0.0 here; the level is w0/2 - B^2/|d| ~ 0.5
+        res = energies(WellParameters(omega0=1.0, omega1=1e308, T=1.0, B=1.0))
+        assert res.e_plus == pytest.approx(0.5, rel=1e-15)
+        assert res.e_minus == 5e307
+        assert truncated_hamiltonian(1.0, 1e308, 1.0).e_plus == res.e_plus
+
+    @pytest.mark.parametrize("omega1", [1.0, 1.5, 3.0, 10.0, 1e3, 1e8, 1e16, 1e100, 1e300])
+    @pytest.mark.parametrize("b_ratio", [0.0, 1e-3, 0.1, 0.3, 0.4])
+    def test_lower_level_against_mpmath(self, omega1, b_ratio):
+        # B <= 0.4 sqrt(w0 w1) keeps E+ >= 0.36 w0 w1 / (4 E-), away from 0
+        omega0 = 1.0
+        b = b_ratio * math.sqrt(omega0 * omega1)
+        res = truncated_hamiltonian(omega0, omega1, b)
+        with mpmath.workdps(60):
+            w0, w1, bm = mpmath.mpf(omega0), mpmath.mpf(omega1), mpmath.mpf(b)
+            # E+ = det / E-: mean - root would cancel in mpmath too at w1 = 1e300
+            exact = (w0 * w1 / 4 - bm**2) / ((w0 + w1) / 4 + mpmath.sqrt(((w0 - w1) / 4) ** 2 + bm**2))
+            assert abs(res.e_plus - exact) <= 1e-14 * abs(exact)
 
 
 class TestGasSum:
@@ -200,3 +223,36 @@ class TestExtractCoupling:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             extract_coupling(-0.1, 1.0, 2.0)
+
+
+class TestParameterErrors:
+    """Each domain error is a SpectrumError and a ValueError naming its parameter."""
+
+    @staticmethod
+    def check(excinfo, parameter, missing=False):
+        assert isinstance(excinfo.value, SpectrumError)
+        assert isinstance(excinfo.value, ValueError)
+        assert excinfo.value.parameter == parameter
+        assert excinfo.value.missing is missing
+
+    @pytest.mark.parametrize("fn", [energies, gas_sum_closed, gas_sum_partial])
+    def test_b_required(self, fn):
+        with pytest.raises(SpectrumParameterError, match="params.B required") as excinfo:
+            fn(WellParameters(omega0=1.0, omega1=2.0, T=1.0))
+        self.check(excinfo, "B", missing=True)
+
+    @pytest.mark.parametrize("n_terms", [0, -3])
+    def test_n_terms(self, n_terms):
+        with pytest.raises(SpectrumParameterError, match="n_terms must be >= 1") as excinfo:
+            gas_sum_partial(P_EXAMPLE, n_terms)
+        self.check(excinfo, "n_terms")
+
+    def test_coupling(self):
+        with pytest.raises(SpectrumParameterError, match="coupling must be >= 0") as excinfo:
+            truncated_hamiltonian(1.0, 2.0, -0.1)
+        self.check(excinfo, "coupling")
+
+    def test_measured_gap(self):
+        with pytest.raises(SpectrumParameterError, match="measured_gap must be >= 0") as excinfo:
+            extract_coupling(-0.1, 1.0, 2.0)
+        self.check(excinfo, "measured_gap")
