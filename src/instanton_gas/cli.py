@@ -21,7 +21,6 @@ from .moments import (
     MomentError,
     MomentKey,
     MomentKeyError,
-    MomentParameterError,
     moment_closed,
     moment_quadrature,
     moment_recursive,
@@ -37,7 +36,6 @@ from .schrodinger import (
 )
 from .spectrum import (
     SpectrumError,
-    SpectrumParameterError,
     energies,
     gas_sum_closed,
     gas_sum_partial,
@@ -74,11 +72,7 @@ def _parse_ratio(text):
 def _well_parameters(a):
     if a.B is None and (a.K is None or a.s_inst is None):
         raise CliError("missing-parameter", "supply --B or both --K and --S-inst", "B")
-    try:
-        return WellParameters(a.omega0, a.omega1, a.T, a.B, a.K, a.s_inst)
-    except ParameterError as exc:
-        code = "contradictory-parameters" if "inconsistent" in str(exc) else "bad-value"
-        raise CliError(code, str(exc), exc.parameter)
+    return WellParameters(a.omega0, a.omega1, a.T, a.B, a.K, a.s_inst)
 
 
 def _fmt6(x):
@@ -140,6 +134,8 @@ def _run_moments(a):
                     "bad-value", "symmetric method requires omega0 == omega1", "method"
                 )
             values.append(("symmetric", moment_symmetric(key, params.B, params.T, params.omega0)))
+    except ParameterError:
+        raise
     except MomentError as exc:
         raise CliError("numerical", str(exc), "method")
 
@@ -395,8 +391,8 @@ def main(argv=None):
                 raise CliError("missing-parameter", message, name)
         try:
             obj, csv_text, table_text = ns.run(ns)
-        except (MomentParameterError, SpectrumParameterError) as exc:
-            code = "missing-parameter" if exc.missing else "bad-value"
+        except ParameterError as exc:  # a well parameter, or a package function's argument
+            code = "contradictory-parameters" if "inconsistent" in str(exc) else "bad-value"
             raise CliError(code, str(exc), exc.parameter)
         # rendered in every format, so that no format prints NaN or infinity
         texts = {"json": _json(obj), "csv": csv_text, "table": table_text}

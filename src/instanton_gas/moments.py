@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from math import comb, exp, factorial, lgamma, log, log10
 
-from .potential import WellParameters
+from .potential import ParameterError, WellParameters
 
 DEPTH_CAP = 64
 _LOG10_E = math.log10(math.e)
@@ -72,13 +72,8 @@ class MomentKeyError(MomentError, ValueError):
     """Index pair negative or beyond DEPTH_CAP."""
 
 
-class MomentParameterError(MomentError, ValueError):
-    """An argument outside its domain, or absent (`missing`); `parameter` names it."""
-
-    def __init__(self, parameter, message, missing=False):
-        super().__init__(message)
-        self.parameter = parameter
-        self.missing = missing
+class MomentParameterError(ParameterError, MomentError):
+    """An argument outside its domain, or absent; `parameter` names it."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ def quad(*args, **kwargs):
 
 def _require_b(params):
     if params.B is None:
-        raise MomentParameterError("B", "params.B required", missing=True)
+        raise MomentParameterError("B", "params.B required")
 
 
 def _as_key(key):

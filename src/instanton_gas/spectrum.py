@@ -21,6 +21,7 @@ from math import exp, hypot, lgamma, log, sqrt
 from typing import NamedTuple
 
 from .moments import multi_instanton
+from .potential import ParameterError
 
 # Natural log of the smallest positive float64 (the least subnormal).
 _LOG_TINIEST = log(5e-324)
@@ -30,20 +31,16 @@ class SpectrumError(ArithmeticError):
     """A spectrum quantity is not representable in float64, or fails its self-check."""
 
 
-class SpectrumParameterError(SpectrumError, ValueError):
-    """An argument outside its domain, or absent (`missing`); `parameter` names it."""
+class SpectrumParameterError(ParameterError, SpectrumError):
+    """An argument outside its domain, or absent; `parameter` names it.
 
-    def __init__(self, parameter, message, missing=False):
-        super().__init__(message)
-        self.parameter = parameter
-        self.missing = missing
+    ParameterError comes first: ArithmeticError's own __init__ would otherwise
+    take the arguments and leave `parameter` unset."""
 
 
 def _require_b(params):
     if params.B is None:
-        raise SpectrumParameterError(
-            "B", "params.B required (supply B or the pair K, s_inst)", missing=True
-        )
+        raise SpectrumParameterError("B", "params.B required (supply B or the pair K, s_inst)")
 
 
 @dataclass(frozen=True)

@@ -467,20 +467,27 @@ class TestBoundary:
         data = strict_json(out)
         assert data["partial"] == data["closed"] == 0.0
 
-    @pytest.mark.parametrize("fail, code, parameter", [
-        (lambda p: multi_instanton(0, WellParameters(1.0, 2.0, 1.0)), "missing-parameter", "B"),
-        (lambda p: multi_instanton(-1, p), "bad-value", "i"),
-        (lambda p: energies(WellParameters(1.0, 2.0, 1.0)), "missing-parameter", "B"),
-        (lambda p: gas_sum_partial(p, 0), "bad-value", "n_terms"),
-        (lambda p: truncated_hamiltonian(1.0, 2.0, -1.0), "bad-value", "coupling"),
-        (lambda p: extract_coupling(-1.0, 1.0, 2.0), "bad-value", "measured_gap"),
+    @pytest.mark.parametrize("fail, parameter", [
+        (lambda p: multi_instanton(0, WellParameters(1.0, 2.0, 1.0)), "B"),
+        (lambda p: multi_instanton(-1, p), "i"),
+        (lambda p: energies(WellParameters(1.0, 2.0, 1.0)), "B"),
+        (lambda p: gas_sum_partial(p, 0), "n_terms"),
+        (lambda p: truncated_hamiltonian(1.0, 2.0, -1.0), "coupling"),
+        (lambda p: extract_coupling(-1.0, 1.0, 2.0), "measured_gap"),
     ])
-    def test_package_parameter_error_is_error_object(self, capsys, monkeypatch, fail, code, parameter):
-        monkeypatch.setattr(cli, "energies", fail)
-        argv = ("spectrum", "--omega0", "1", "--omega1", "2", "--B", "0.3")
+    @pytest.mark.parametrize("command, target", [
+        (("spectrum",), "energies"),
+        (("moments", "--n", "1", "--m", "1"), "moment_closed"),
+    ])
+    def test_package_parameter_error_is_error_object(self, capsys, monkeypatch, fail, parameter,
+                                                     command, target):
+        # argv cannot reach these errors, so the command's library call is replaced by one that
+        # raises; on moments the error must not be reported as a failed evaluation (`numerical`)
+        monkeypatch.setattr(cli, target, lambda *args: fail(args[-1]))  # params is the last argument
+        argv = (*command, "--omega0", "1", "--omega1", "2", "--B", "0.3", "--T", "1")
         exit_code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert exit_code == 2 and err == ""
-        assert assert_error_object(exit_code, out, parameter)["code"] == code
+        assert assert_error_object(exit_code, out, parameter)["code"] == "bad-value"
         exit_code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert exit_code == 2 and out == "" and err.startswith("error: ")
 
@@ -512,29 +519,34 @@ _SPECTRUM_FLAGS = ("--omega0", "--omega1", "--B", "--K", "--S-inst", "--T")
 
 
 def _numbers(value):
-    """Every int or float inside a parsed JSON value."""
+    """Every int or float inside a parsed JSON value; a null leaf fails."""
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, list):
         return [x for item in value for x in _numbers(item)]
+    assert isinstance(value, (int, float, str)), f"unexpected JSON leaf {value!r}"
     return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
 
 
 def assert_finite_json_or_error_object(argv, keys):
-    """Exit 0 with strict JSON holding `keys` and finite numbers only, or the error object."""
+    """Exit 0 with strict JSON holding `keys` and finite numbers only (returned), or the error
+    object (None returned)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     if code != 0:
         assert_error_object(code, out.getvalue())
-        return
+        return None
     data = strict_json(out.getvalue())
     assert set(data) == keys
     assert all(math.isfinite(v) for v in _numbers(data))
+    return data
 
 
 def assert_finite_spectrum_or_error_object(argv):
-    assert_finite_json_or_error_object(argv, {"e_plus", "e_minus", "gap", "amplitude_coefficient"})
+    data = assert_finite_json_or_error_object(argv, {"e_plus", "e_minus", "gap", "amplitude_coefficient"})
+    if data is not None:
+        assert all(isinstance(v, float) and math.isfinite(v) for v in data.values())
 
 
 @settings(max_examples=150, deadline=None)

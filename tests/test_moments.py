@@ -18,7 +18,7 @@ from instanton_gas.moments import (
     prefactor,
     sweep_grid,
 )
-from instanton_gas.potential import WellParameters
+from instanton_gas.potential import ParameterError, WellParameters
 from instanton_gas.triangle import closed_form_coefficients
 
 # frozen oracle values (mpmath tanh-sinh quadrature, 30 digits), all at
@@ -258,12 +258,12 @@ class TestValidation:
     def test_b_required(self, evaluate):
         with pytest.raises(MomentParameterError, match="params.B required") as excinfo:
             evaluate(WellParameters(omega0=1.0, omega1=2.0, T=1.0))
-        assert isinstance(excinfo.value, MomentError) and isinstance(excinfo.value, ValueError)
-        assert excinfo.value.parameter == "B" and excinfo.value.missing
+        assert isinstance(excinfo.value, MomentError) and isinstance(excinfo.value, ParameterError)
+        assert isinstance(excinfo.value, ValueError) and excinfo.value.parameter == "B"
 
     def test_negative_index(self):
         params = WellParameters(omega0=1.0, omega1=2.0, T=1.0, B=0.3)
         with pytest.raises(MomentParameterError, match="i must be >= 0") as excinfo:
             multi_instanton(-1, params)
-        assert isinstance(excinfo.value, MomentError) and isinstance(excinfo.value, ValueError)
-        assert excinfo.value.parameter == "i" and not excinfo.value.missing
+        assert isinstance(excinfo.value, MomentError) and isinstance(excinfo.value, ParameterError)
+        assert isinstance(excinfo.value, ValueError) and excinfo.value.parameter == "i"

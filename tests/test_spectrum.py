@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from instanton_gas.moments import multi_instanton, sweep_grid
-from instanton_gas.potential import WellParameters
+from instanton_gas.potential import ParameterError, WellParameters
 from instanton_gas.spectrum import (
     SpectrumError,
     SpectrumParameterError,
@@ -226,20 +226,19 @@ class TestExtractCoupling:
 
 
 class TestParameterErrors:
-    """Each domain error is a SpectrumError and a ValueError naming its parameter."""
+    """Each domain error is a SpectrumError and a ParameterError (a ValueError) naming its parameter."""
 
     @staticmethod
-    def check(excinfo, parameter, missing=False):
+    def check(excinfo, parameter):
         assert isinstance(excinfo.value, SpectrumError)
-        assert isinstance(excinfo.value, ValueError)
+        assert isinstance(excinfo.value, ParameterError) and isinstance(excinfo.value, ValueError)
         assert excinfo.value.parameter == parameter
-        assert excinfo.value.missing is missing
 
     @pytest.mark.parametrize("fn", [energies, gas_sum_closed, gas_sum_partial])
     def test_b_required(self, fn):
         with pytest.raises(SpectrumParameterError, match="params.B required") as excinfo:
             fn(WellParameters(omega0=1.0, omega1=2.0, T=1.0))
-        self.check(excinfo, "B", missing=True)
+        self.check(excinfo, "B")
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_n_terms(self, n_terms):
