@@ -26,10 +26,9 @@ Both the recursion and the closed form cancel catastrophically for small
 predicted digit loss exceeds what float64 carries.  mpmath is imported on
 the first escalation, so evaluations that stay in float64 never load it.
 
-Quadrature is the oracle.  It is also the production route of
-multi_instanton below |d| T = 0.1, and it is the only route that loads
-scipy.integrate: the import happens on its first call, so commands that
-never integrate never pay for it.
+Quadrature is the oracle: composite Gauss-Legendre in numpy, checked
+against a second rule.  It is also the production route of multi_instanton
+below |d| T = 0.1.  No route loads scipy.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from math import comb, exp, factorial, lgamma, log, log10
+from functools import cache
+from math import comb, exp, factorial, frexp, ldexp, lgamma, log, log10
 
-from .potential import ParameterError, WellParameters
+from .potential import ParameterError, WellParameters, _gauss_rule
 
 DEPTH_CAP = 64
 _LOG10_E = math.log10(math.e)
@@ -48,6 +48,20 @@ _LOG_HUGEST = log(sys.float_info.max)
 # predicted cancellation (digits) beyond which float64 is abandoned; the
 # remaining ~1e-10 headroom keeps the three-way cross checks at 1e-8 safe
 _FLOAT_DIGIT_BUDGET = 6.0
+# Gauss-Legendre nodes per panel of the quadrature's fine and coarse rule;
+# both exceed DEPTH_CAP + 1, so both integrate the polynomial part exactly.
+_FINE_NODES = 128
+_COARSE_NODES = 96
+# |a| times the width of one panel, and the |a| s beyond which the
+# integrand of J no longer counts.
+_PANEL_SPAN = 16.0
+_TAIL = 300.0
+# Relative disagreement of the two rules beyond which the quadrature is refused.
+_QUADRATURE_RTOL = 1e-12
+# ln 2 split for exact multiples k ln 2 with |k| < 2^21 (fdlibm).
+_LN2 = math.log(2.0)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 _METHODS = ("closed", "recursive", "quadrature", "symmetric-limit")
 
@@ -57,7 +71,7 @@ class MomentError(Exception):
 
 
 class QuadratureError(MomentError):
-    """Adaptive quadrature failed; carries the achieved error estimate."""
+    """The two quadrature rules disagree; carries the relative difference."""
 
     def __init__(self, message, error_estimate):
         super().__init__(f"{message} (error estimate {error_estimate:.3e})")
@@ -100,11 +114,16 @@ class MomentValue:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise MomentParameterError("method", f"unknown method {self.method!r}")
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad; scipy.integrate is imported on the first call."""
+    """scipy.integrate.quad, imported on the first call.
+
+    No route of this module calls it; the name stays because the
+    benchmark's layer tracer (perfbench/layertrace.py) counts calls by
+    patching it.
+    """
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -166,12 +185,13 @@ def _log_stripped_lower(n, m, params):
     """
     b, d, t = params.B, params.delta, params.T
     p, q = (n, m) if d < 0.0 else (m, n)
-    stretch = t / 2.0 if d == 0.0 else min(t / 2.0, 1.0 / abs(d))
+    log_half_t = log(t) - _LN2  # t / 2 itself may underflow to 0
+    log_stretch = log_half_t if d == 0.0 else min(log_half_t, -log(abs(d)))
     return (
         (n + m + 1) * log(b)
-        + abs(d) * (t / 2.0 - stretch)
-        + q * log(t / 2.0) - lgamma(q + 1)
-        + (p + 1) * log(stretch) - lgamma(p + 2)
+        + max(0.0, abs(d) * t / 2.0 - 1.0)
+        + q * log_half_t - lgamma(q + 1)
+        + (p + 1) * log_stretch - lgamma(p + 2)
     )
 
 
@@ -310,28 +330,90 @@ def moment_recursive(max_n, max_m, params):
     return MomentTable(max_n, max_m, values)
 
 
+@cache
+def _panel_rule(panels):
+    """Nodes s on [0, 2] split into equal panels, and the weights of the fine
+    and the coarse Gauss-Legendre rule; the nodes of both rules in one array.
+    The fine weights are np.longdouble, so that their sum adds no rounding."""
+    import numpy as np
+
+    nodes, weights = [], []
+    for count in (_FINE_NODES, _COARSE_NODES):
+        x, w = _gauss_rule(count)
+        nodes.append(((np.arange(panels)[:, None] + (1.0 + x) / 2.0) * (2.0 / panels)).ravel())
+        weights.append(np.tile(w / panels, panels))
+    return np.concatenate(nodes), weights[0].astype(np.longdouble), weights[1]
+
+
 def moment_quadrature(key, params):
-    """Adaptive Gauss-Kronrod evaluation of I(n, m); the oracle route."""
+    """Composite Gauss-Legendre evaluation of I(n, m); the oracle route.
+
+    With u = (T/2) x and a = delta T/2 the stripped value is
+
+        B^N (T/2)^N / (n! m!) e^|a| J,   J = Int_0^2 e^(-|a| s) s^p (2-s)^q ds,
+
+    N = n+m+1, where s is the distance from the end x = sign(a) at which
+    e^(a x) peaks, p the power of the factor (1 -+ x) that vanishes there
+    and q the power of the other.  The polynomial part has
+    degree n + m <= 2 DEPTH_CAP, which both rules (128 and 96 nodes per
+    panel) integrate exactly; the panels, about |a|/8 of them, keep the
+    exponential resolved.  Beyond |a| s = 300 the integrand is below 1e-40
+    of J, so for |a| > 150 only [0, 300/|a|] is integrated.  MomentError is
+    raised before any array exists when the stripped value certainly
+    exceeds float64, and QuadratureError when the two rules differ by more
+    than 1e-12 relative.
+    """
     key = _as_key(key)
     n, m = key.n, key.m
     _require_b(params)
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "quadrature")
-    d, b, t = params.delta, params.B, params.T
-    fn, fm = float(factorial(n)), float(factorial(m))
+    if _log_stripped_lower(n, m, params) > _LOG_HUGEST:
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
+    import numpy as np
 
-    def integrand(u):
-        return exp(d * u) * (t / 2.0 + u) ** n / fn * (t / 2.0 - u) ** m / fm
-
+    d, b, h = params.delta, params.B, params.T / 2.0
+    a_exact = np.longdouble(abs(d)) * h
+    a = float(a_exact)
+    # The rounding of a moves the result by up to a * 1.1e-16 relative, so
+    # above a = 1 the nodes carry it along.
+    a_lo = float(a_exact - a) if a >= 1.0 else 0.0
+    p, q = (m, n) if d >= 0.0 else (n, m)
+    length = min(2.0, _TAIL / a) if a > 0.0 else 2.0
+    s, fine_w, coarse_w = _panel_rule(max(1, math.ceil(a * length / _PANEL_SPAN)))
+    if length < 2.0:
+        s = (length / 2.0) * s
+    exponent = s * -a
+    if a_lo:
+        exponent -= s * a_lo
+    g = np.exp(exponent)
+    g *= s**p
+    g *= (2.0 - s) ** q
+    scale = length / 2.0
+    fine = scale * (fine_w @ g[: fine_w.size])
+    coarse = scale * float(coarse_w @ g[fine_w.size :])
+    difference = abs(float(fine) - coarse) / float(fine)
+    if difference > _QUADRATURE_RTOL:
+        raise QuadratureError(
+            f"I({n}, {m}): the {_FINE_NODES}- and {_COARSE_NODES}-node rules disagree", difference
+        )
+    # B^N h^N e^a J / (n! m!) as a mantissa times a power of two, so that no
+    # factor leaves the float64 range before the result does.  The mantissa
+    # is formed in np.longdouble and rounded once.
+    big_n = n + m + 1
+    k = round(a / _LN2)
+    mb, eb = frexp(b)
+    mh, eh = frexp(h)
+    mj, ej = np.frexp(fine)
+    mantissa = (
+        (np.longdouble(mb) * mh) ** big_n * mj
+        * np.exp((a_exact - k * _LN2_HI) - k * _LN2_LO)
+        / (factorial(n) * factorial(m))
+    )
     try:
-        out = quad(integrand, -t / 2.0, t / 2.0, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1)
-        weight = b ** (n + m + 1)
+        stripped = ldexp(float(mantissa), big_n * (eb + eh) + k + int(ej))
     except OverflowError:
-        raise MomentError(f"I({n}, {m}) overflows float64 in quadrature") from None
-    val, abserr = out[0], out[1]
-    if len(out) > 3 or (val != 0.0 and abserr > 1e-10 * abs(val)):
-        raise QuadratureError("quadrature did not converge", abserr)
-    stripped = weight * val
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
     return MomentValue(stripped, stripped * prefactor(params), "quadrature")
 
 
@@ -356,8 +438,9 @@ def moment_symmetric(key, B, T, omega):
 def multi_instanton(i, params):
     """Full I(i, i): the (2i+1)-event well-to-well contribution.
 
-    Direct quadrature below |delta| T = 0.1, where the closed form cancels;
-    above it the closed form (escalating to mpmath where float64 would cancel).
+    Gauss-Legendre quadrature (moment_quadrature) below |delta| T = 0.1,
+    where the closed form cancels; above it the closed form (escalating to
+    mpmath where float64 would cancel).
     """
     if i < 0:
         raise MomentParameterError("i", "i must be >= 0")

@@ -39,6 +39,12 @@ DEFAULT_GRID = None  # set below, after GridSpec is defined
 # stays well below the floor.
 EIGENVALUE_TOL = 1e-13
 
+# Most points of any grid, a refined one included: `benchmark --points
+# 500001`, refined to this many, peaks at about 135 MiB.
+MAX_POINTS = 1_000_001
+# Widest range of the grid spacing h, so that 1/h^2 is a finite float.
+SPACING_RANGE = (1e-150, 1e150)
+
 
 class SolverError(Exception):
     """Base error for the grid solver."""
@@ -58,7 +64,12 @@ class ScalingError(SolverError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [x_min, x_max] with the given number of points."""
+    """Uniform grid on [x_min, x_max] with the given number of points.
+
+    At most MAX_POINTS points; refined() refuses a grid whose refinement
+    would exceed it, and numeric_gap refines before it solves, so a grid
+    too large for the benchmark is refused before any array exists.
+    """
 
     x_min: float
     x_max: float
@@ -67,10 +78,15 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 3:
             raise SolverError("need at least 3 grid points")
+        if self.points > MAX_POINTS:
+            raise SolverError(f"at most {MAX_POINTS} grid points, refined grids included")
         if not (isfinite(self.x_min) and isfinite(self.x_max)):
             raise SolverError("x_min and x_max must be finite")
         if not self.x_max > self.x_min:
             raise SolverError("x_max must exceed x_min")
+        low, high = SPACING_RANGE
+        if not low <= self.spacing <= high:
+            raise SolverError(f"grid spacing must lie in [{low:g}, {high:g}]")
 
     @property
     def spacing(self):
@@ -118,16 +134,19 @@ def discretize(potential, grid, min_boundary_potential=None):
     import numpy as np
 
     x = grid.array()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("the potential is not finite on the grid")
     if min_boundary_potential is not None:
-        v_edge = min(float(potential(x[0])), float(potential(x[-1])))
+        v_edge = min(values[0], values[-1])
         if v_edge < min_boundary_potential:
             raise DomainError(
                 f"domain too small: boundary potential {v_edge:.6g} < "
                 f"required {min_boundary_potential:.6g}"
             )
     h = grid.spacing
-    interior = x[1:-1]
-    values = np.broadcast_to(np.asarray(potential(interior), dtype=float), interior.shape)
+    values = values[1:-1]
     diag = 1.0 / h**2 + values
     return TridiagonalOperator(diagonal=diag, off_diagonal=-0.5 / h**2, size=grid.points - 2)
 

@@ -54,7 +54,7 @@ class SpectrumResult:
 
     def __post_init__(self):
         if self.e_plus > self.e_minus:
-            raise ValueError("e_plus must not exceed e_minus")
+            raise SpectrumParameterError("e_plus", "e_plus must not exceed e_minus")
 
 
 def _amplitude_coefficient(delta, b):
@@ -217,7 +217,13 @@ def extract_coupling(measured_gap, omega0, omega1):
     """
     if measured_gap < 0:
         raise SpectrumParameterError("measured_gap", "measured_gap must be >= 0")
-    disc = measured_gap**2 - (omega1 - omega0) ** 2 / 4.0
+    try:
+        disc = measured_gap**2 - (omega1 - omega0) ** 2 / 4.0
+    except OverflowError:  # a square beyond float64: factor the difference of squares
+        offset = abs(omega1 - omega0) / 2.0
+        if measured_gap <= offset:
+            return CouplingEstimate(0.0, True)
+        return CouplingEstimate(0.5 * sqrt(measured_gap - offset) * sqrt(measured_gap + offset), False)
     if disc <= 0.0:
         return CouplingEstimate(0.0, True)
     return CouplingEstimate(0.5 * sqrt(disc), False)

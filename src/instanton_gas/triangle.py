@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, isfinite, sqrt
 
+from .potential import ParameterError
+
 DEPTH_CAP = 24
 
 _SIGNS = ("+", "-")
@@ -33,6 +35,10 @@ class TriangleError(Exception):
 
 class StabilizationError(TriangleError):
     """A requested coefficient is not computable at the built depth."""
+
+
+class TriangleParameterError(ParameterError, TriangleError):
+    """An argument of a series helper outside its domain; `parameter` names it."""
 
 
 def _as_ratio(value):
@@ -390,7 +396,7 @@ def series_a0_a1(x, terms):
     as analytic continuations).
     """
     if terms < 1:
-        raise ValueError("terms must be >= 1")
+        raise TriangleParameterError("terms", "terms must be >= 1")
     x = float(x)
     a0 = 0.0
     a1 = 0.0
@@ -436,7 +442,7 @@ def exponential_split(x):
     """
     x = float(x)
     if x == 0.0:
-        raise ValueError("x must be nonzero")
+        raise TriangleParameterError("x", "x must be nonzero")
     s = sqrt(1.0 + 1.0 / (4.0 * x * x))
     alpha_plus = -1.0 / (2.0 * x) + s
     alpha_minus = -1.0 / (2.0 * x) - s
@@ -459,7 +465,7 @@ def central_generating_sum(x, y, max_terms=400):
 
     x = float(x)
     if x == 0.0:
-        raise ValueError("x must be nonzero")
+        raise TriangleParameterError("x", "x must be nonzero")
     alpha_big = abs(1.0 / (2.0 * x)) + sqrt(1.0 + 1.0 / (4.0 * x * x))
     dps = 40 + int(0.45 * alpha_big * max(abs(y), 1.0))
     with mp.workdps(dps):

@@ -132,6 +132,19 @@ class TestMomentsCommand:
         assert [r["method"] for r in rows] == ["closed", "recursive", "quadrature"]
         assert all(r["stripped"] == r["full"] == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("method, code", [("quadrature", 0), ("all", 1)])
+    def test_underflowing_half_time(self, capsys, method, code):
+        # T / 2 underflows to 0: quadrature gives 0, the recursion refuses |d| T this small
+        exit_code, out, err = run_cli(
+            capsys, "moments", "--n", "0", "--m", "0", "--omega0", "1", "--omega1", "2",
+            "--B", "0.5", "--T", "5e-324", "--method", method, "--format", "json",
+        )
+        assert exit_code == code and err == ""
+        if code:
+            assert assert_error_object(exit_code, out)["code"] == "numerical"
+        else:
+            assert strict_json(out)["rows"][0]["stripped"] == 0.0
+
     def test_depth_beyond_cap_is_error_object(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--n", "70", "--m", "3", "--omega0", "2",
@@ -419,6 +432,35 @@ class TestBoundary:
         assert code == 2
         assert assert_error_object(code, out, parameter)["code"] == "bad-value"
 
+    @pytest.mark.parametrize("flags, error_code", [
+        (("--x-min=-1e308",), "SolverError"),  # the squared spacing overflows
+        (("--points", "101", "--x-min=-1e100", "--x-max=1e100"), "DomainError"),  # so does V on the grid
+        (("--lambda", "1e308", "--points", "101"), "PotentialError"),  # and the coefficients of V''
+    ])
+    def test_overflow_in_grid_or_family_is_error_object(self, capsys, flags, error_code):
+        code, out, err = run_cli(capsys, "benchmark", "--lambda", "4", "--b", "0", *flags, "--format", "json")
+        assert err == ""
+        assert assert_error_object(code, out)["code"] == error_code
+
+    def test_huge_family_is_finite(self, capsys):
+        # the squared frequency offset overflows while extracting the coupling
+        code, out, err = run_cli(capsys, "benchmark", "--lambda", "1e300", "--b", "1.5", "--points", "101",
+                                 "--format", "json")
+        assert code == 0 and err == ""
+        assert all(math.isfinite(v) for v in _numbers(strict_json(out)))
+
+    def test_too_many_points_is_error_object_before_any_array(self, capsys, monkeypatch):
+        def no_array(grid):
+            raise AssertionError("grid array built")
+
+        monkeypatch.setattr(cli.GridSpec, "array", no_array)
+        for points in ("2000000000", "600001"):  # the grid, or only its refinement, too large
+            code, out, err = run_cli(capsys, "benchmark", "--lambda", "4", "--b", "0", "--points", points,
+                                     "--format", "json")
+            assert err == ""
+            error = assert_error_object(code, out)
+            assert error["code"] == "SolverError" and "grid points" in error["message"]
+
     @pytest.mark.parametrize("argv", [
         ("benchmark", "--lambda", "inf", "--b", "0"),
         ("benchmark", "--lambda", "4", "--b", "nan"),
@@ -648,3 +690,22 @@ def test_triangle_verify_output_is_finite_json_or_error_object(flags):
         _argv("triangle-verify", flags),
         {"depth", "ratio", "families", "total_checked", "total_failures"},
     )
+
+
+_BENCHMARK_KEYS = {"lambda", "s_inst", "omega0", "omega1", "gap_numeric", "b_prime", "refinement_error",
+                   "asymmetry_dominated"}
+
+
+# each example solves two grids of up to 1201 and 2401 points, so few of them
+@settings(max_examples=30, deadline=None)
+@given(_flags(
+    {"--lambda": st.floats(0.5, 64.0).map(repr), "--b": st.floats(-1.99, 1.99).map(repr),
+     "--points": st.integers(3, 1201).map(str), "--x-min": st.floats(-4.0, -1.5).map(repr),
+     "--x-max": st.floats(1.5, 4.0).map(repr)},
+    {**dict.fromkeys(("--lambda", "--b", "--x-min", "--x-max"), _FLOAT_TEXT),
+     "--points": st.one_of(_INT_TEXT, st.just("2000000000"))},
+))
+@example({"--lambda": "4", "--b": "0", "--points": "2000000000"})  # refused before any array
+@example({"--lambda": "1e6", "--b": "0", "--points": "1201"})  # below the subtraction floor: gap 0.0
+def test_benchmark_output_is_finite_json_or_error_object(flags):
+    assert_finite_json_or_error_object(_argv("benchmark", flags), _BENCHMARK_KEYS)

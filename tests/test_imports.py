@@ -1,8 +1,11 @@
 """Import budget: the CLI loads only the numpy, mpmath and scipy that a command calls.
 
-Every check runs in a fresh interpreter, because the test session itself
-has already imported scipy.integrate (pytest resolves the IntegrationWarning
-filter of pyproject.toml when it starts).
+No command loads scipy.integrate: the quadrature oracle and the
+near-symmetric gas sum integrate by Gauss-Legendre in numpy, and only the
+grid commands load scipy.linalg.  Every check runs in a fresh
+interpreter, because the pytest process itself has already imported
+scipy.integrate (pytest resolves the IntegrationWarning filter of
+pyproject.toml when it starts).
 """
 
 import json
@@ -77,6 +80,13 @@ def test_benchmark_loads_linalg_not_integrate():
     assert "scipy.integrate" not in loaded
 
 
-def test_quadrature_oracle_loads_integrate():
-    loaded = scipy_loaded("moments", "--n", "1", "--m", "1", *_WELL, "--T", "2", "--method", "quadrature")
-    assert "scipy.integrate" in loaded
+@pytest.mark.parametrize("argv", [
+    ("moments", "--n", "1", "--m", "1", *_WELL, "--T", "2", "--method", "quadrature"),
+    ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),
+    # |d| T = 1.5e-5: every term of the sum is integrated
+    ("sum", "--omega0", "2.00001", "--omega1", "2", "--B", "0.5", "--T", "3", "--terms", "40"),
+])
+def test_quadrature_loads_numpy_and_no_scipy(argv):
+    loaded = heavy_loaded(*argv)
+    assert "numpy" in loaded
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)

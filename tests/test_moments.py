@@ -1,14 +1,19 @@
 import math
+import sys
 from fractions import Fraction
 from math import comb, exp, factorial
 
+import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from instanton_gas import moments
 from instanton_gas.moments import (
     MomentError,
     MomentKey,
     MomentParameterError,
     MomentValue,
+    QuadratureError,
     SymmetricLimitError,
     moment_closed,
     moment_quadrature,
@@ -29,6 +34,22 @@ I_S_11 = 0.036908073022558779
 I_S_21 = 0.0049865008776918887
 
 P_EXAMPLE = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=0.3)
+
+
+def reference_50_digits(n, m, params):
+    """Stripped I(n, m) at 50 digits from Kummer's function:
+    (2 B h)^N / N! e^(-a) M(n+1, N+1, 2a), h = T/2, a = delta h, N = n+m+1."""
+    with mp.workdps(50):
+        d, b, h = mp.mpf(params.delta), mp.mpf(params.B), mp.mpf(params.T) / 2
+        big_n = n + m + 1
+        return (2 * b * h) ** big_n / mp.factorial(big_n) * mp.exp(-d * h) * mp.hyp1f1(
+            n + 1, big_n + 1, 2 * d * h
+        )
+
+
+def well(delta, T, B):
+    """Well parameters with the given delta (up to its rounding)."""
+    return WellParameters(omega0=1.0 + 2.0 * max(delta, 0.0), omega1=1.0 + 2.0 * max(-delta, 0.0), T=T, B=B)
 
 
 def antiderivative_00(params):
@@ -63,6 +84,68 @@ class TestQuadrature:
         # no tunneling, no amplitude: the same zero as the closed form and recursion
         params = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=0.0)
         assert moment_quadrature((0, 0), params) == MomentValue(0.0, 0.0, "quadrature")
+
+    # |d| T past 300 integrates only the stretch next to the peak; B keeps the value in float64
+    @pytest.mark.parametrize("key, delta, T, B", [
+        ((64, 64), 150.0, 2.0, 1.0),
+        ((0, 64), -1000.0, 1.0, 1.0),
+        ((3, 5), 2500.0, 2.0, 1e-130),
+        ((64, 0), -4e4, 0.5, 1e-60),
+    ])
+    def test_large_delta_t_against_50_digits(self, key, delta, T, B):
+        params = well(delta, T, B)
+        reference = reference_50_digits(*key, params)
+        assert moment_quadrature(key, params).stripped == pytest.approx(float(reference), rel=1e-14)
+
+    def test_certain_overflow_refused_before_any_array(self, monkeypatch):
+        def no_arrays(panels):
+            raise AssertionError("arrays built")
+
+        monkeypatch.setattr(moments, "_panel_rule", no_arrays)
+        with pytest.raises(MomentError, match="exceeds float64"):
+            moment_quadrature((3, 3), WellParameters(omega0=1.0, omega1=2.0, T=1e300, B=0.5))
+
+    def test_overflow_found_after_integration(self):
+        # the a-priori bound passes, the integrated value exceeds float64
+        params = WellParameters(omega0=1.0, omega1=1.0, T=2.0, B=1e308)
+        assert moments._log_stripped_lower(0, 0, params) < moments._LOG_HUGEST
+        with pytest.raises(MomentError, match="exceeds float64"):
+            moment_quadrature((0, 0), params)
+
+    def test_tiny_t_is_finite(self):
+        # T/2 underflows to 0: the stripped value B T rounds to 0
+        params = WellParameters(omega0=1.0, omega1=2.0, T=5e-324, B=0.5)
+        assert moment_quadrature((0, 0), params).stripped == 0.0
+
+    def test_rule_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(moments, "_QUADRATURE_RTOL", 0.0)
+        with pytest.raises(QuadratureError, match="rules disagree") as excinfo:
+            moment_quadrature((5, 7), well(50.0, 2.0, 0.5))
+        assert 0.0 < excinfo.value.error_estimate < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 64),
+    m=st.integers(0, 64),
+    delta_t=st.one_of(st.floats(0.0, 300.0), st.floats(1e-12, 0.1)),
+    sign=st.sampled_from((-1.0, 1.0)),
+    T=st.floats(0.1, 30.0),
+    B=st.floats(0.01, 5.0),
+)
+@example(n=64, m=64, delta_t=300.0, sign=1.0, T=2.0, B=1.0)
+@example(n=0, m=64, delta_t=300.0, sign=1.0, T=0.5, B=0.2)
+@example(n=64, m=0, delta_t=300.0, sign=1.0, T=0.5, B=0.2)
+@example(n=20, m=20, delta_t=3e-5, sign=1.0, T=3.0, B=0.5)
+def test_quadrature_against_50_digit_kummer(n, m, delta_t, sign, T, B):
+    params = well(sign * delta_t / T, T, B)
+    reference = reference_50_digits(n, m, params)
+    try:
+        value = moment_quadrature((n, m), params).stripped
+    except MomentError:
+        assert reference > sys.float_info.max * (1.0 - 1e-14)
+        return
+    assert abs(value - reference) <= 1e-14 * reference + 5e-324
 
 
 class TestRecursive:
@@ -243,6 +326,11 @@ class TestValidation:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             MomentValue(1.0, 1.0, "guess")
+
+    def test_unknown_method_is_package_error(self):
+        with pytest.raises(MomentParameterError, match="unknown method 'guess'") as excinfo:
+            MomentValue(1.0, 1.0, "guess")
+        assert isinstance(excinfo.value, MomentError) and excinfo.value.parameter == "method"
 
     def test_sweep_grid_size(self):
         grid = sweep_grid()

@@ -10,6 +10,7 @@ from instanton_gas.potential import (
     PolynomialPotential,
     PotentialError,
     WellParameters,
+    _gauss_rule,
     find_minima,
     instanton_action,
     well_parameters,
@@ -33,6 +34,24 @@ BENCHMARK_ACTIONS = [
     (1.9, 1.9153898852967595),
     (1.99, 1.8895976433256367),
     (1.999, 1.8860627053875874),
+]
+
+
+# Nodes and weights of the Gauss-Legendre rules (n, index), by Newton's
+# method on the Legendre recurrence in mpmath at 50 digits
+GAUSS_TABLE = [
+    (64, 0, "-0.999305041735772139456905624346", "0.00178328072169643294729607914497"),
+    (64, 1, "-0.996340116771955279346924500676", "0.00414703326056246763528753572855"),
+    (64, 16, "-0.685236313054233242563558371031", "0.0354722132568823838106931467152"),
+    (64, 31, "-0.0243502926634244325089558428537", "0.0486909570091397203833653907347"),
+    (96, 0, "-0.999689503883230766827690105784", "0.000796792065552012429438143496944"),
+    (96, 1, "-0.998364375863181677724149439527", "0.00185396078894692173233592535089"),
+    (96, 24, "-0.692564536642171561344245769818", "0.0234833990859262198422359326676"),
+    (96, 47, "-0.0162767448496029695791345636952", "0.0325506144923631662419614182973"),
+    (128, 0, "-0.999824887947131914473608082982", "0.000449380960292090376394292239989"),
+    (128, 1, "-0.999077459977375895011987757684", "0.00104581267934034877931285160011"),
+    (128, 32, "-0.696214708369514332385086602419", "0.0175494758271177046487069256344"),
+    (128, 63, "-0.0122236989606157641980521196674", "0.0244461801962625182113258526106"),
 ]
 
 
@@ -209,3 +228,19 @@ class TestWellParameters:
             WellParameters(omega0=1.0, omega1=1.0, T=0.0, B=0.1)
         with pytest.raises(ValueError):
             WellParameters(omega0=1.0, omega1=1.0, T=1.0, B=-0.1)
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("n, i, node, weight", GAUSS_TABLE)
+    def test_correctly_rounded_against_frozen_table(self, n, i, node, weight):
+        nodes, weights = _gauss_rule(n)
+        assert nodes[i] == float(node) and nodes[n - 1 - i] == -float(node)
+        assert weights[i] == float(weight) and weights[n - 1 - i] == float(weight)
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 96, 128])
+    def test_integrates_polynomials_exactly(self, n):
+        # x^(2k) integrates to 2/(2k+1) for every 2k <= 2n - 1
+        nodes, weights = _gauss_rule(n)
+        assert list(nodes) == sorted(nodes) and len(nodes) == n
+        for k in range(n):
+            assert float(weights @ nodes ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)

@@ -8,6 +8,7 @@ from instanton_gas.potential import PolynomialPotential
 from instanton_gas.schrodinger import (
     BracketError,
     DomainError,
+    MAX_POINTS,
     GridSpec,
     ScalingError,
     SolverError,
@@ -74,6 +75,19 @@ class TestDiscretize:
             GridSpec(0.0, 1.0, 2)
         with pytest.raises(SolverError):
             GridSpec(1.0, 0.0, 11)
+
+    def test_point_count_bounded_before_any_array(self, monkeypatch):
+        def no_array(grid):
+            raise AssertionError("grid array built")
+
+        monkeypatch.setattr(GridSpec, "array", no_array)
+        with pytest.raises(SolverError, match=f"at most {MAX_POINTS} grid points"):
+            GridSpec(-3.0, 3.0, 2_000_000_000)
+        # the grid fits, its refinement does not: refused before the first solve
+        grid = GridSpec(-3.0, 3.0, MAX_POINTS // 2 + 2)
+        with pytest.raises(SolverError, match="refined grids included"):
+            numeric_gap(benchmark_potential(4.0, 0.5), grid)
+        assert GridSpec(-3.0, 3.0, MAX_POINTS // 2 + 1).refined().points == MAX_POINTS
 
 
 class TestEigenvalues:

@@ -75,6 +75,11 @@ class TestEnergies:
         with pytest.raises(ValueError):
             SpectrumResult(1.0, 0.5, -0.5, 0.1)
 
+    def test_ordering_is_package_error(self):
+        with pytest.raises(SpectrumParameterError, match="e_plus must not exceed e_minus") as excinfo:
+            SpectrumResult(1.0, 0.5, -0.5, 0.1)
+        assert isinstance(excinfo.value, SpectrumError) and excinfo.value.parameter == "e_plus"
+
     def test_extreme_asymmetry_keeps_lower_level(self):
         # mean - root cancels to 0.0 here; the level is w0/2 - B^2/|d| ~ 0.5
         res = energies(WellParameters(omega0=1.0, omega1=1e308, T=1.0, B=1.0))

@@ -10,6 +10,7 @@ from instanton_gas.triangle import (
     BasisCoefficient,
     StabilizationError,
     TriangleError,
+    TriangleParameterError,
     a0_closed_form,
     a1_closed_form,
     build_triangle,
@@ -219,6 +220,18 @@ class TestSeries:
     def test_terms_validation(self):
         with pytest.raises(ValueError):
             series_a0_a1(0.1, 0)
+
+
+@pytest.mark.parametrize("call, parameter, message", [
+    (lambda: series_a0_a1(0.1, 0), "terms", "terms must be >= 1"),
+    (lambda: exponential_split(0.0), "x", "x must be nonzero"),
+    (lambda: central_generating_sum(0.0, 1.0), "x", "x must be nonzero"),
+])
+def test_series_helpers_raise_package_errors(call, parameter, message):
+    with pytest.raises(TriangleParameterError, match=message) as excinfo:
+        call()
+    assert isinstance(excinfo.value, TriangleError) and isinstance(excinfo.value, ValueError)
+    assert excinfo.value.parameter == parameter
 
 
 class TestExponentialCollapse:
