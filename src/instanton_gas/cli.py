@@ -172,12 +172,7 @@ def _run_sum(a):
 
 
 def _run_triangle_verify(a):
-    ratio = _parse_ratio(a.ratio)
-    try:
-        triangle = build_triangle(a.depth, ratio)
-        report = verify_column_relations(triangle)
-    except TriangleError as exc:
-        raise CliError("bad-value", str(exc), "depth")
+    report = verify_column_relations(build_triangle(a.depth, _parse_ratio(a.ratio)))
     families = sorted(report.families.items())
     obj = {
         "depth": report.depth,

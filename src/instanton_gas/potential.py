@@ -20,6 +20,10 @@ from math import exp, isfinite, sqrt
 
 # Relative disagreement of the two rules beyond which the action is refused.
 _ACTION_RTOL = 1e-10
+# V'' at a stationary point counts as zero below this fraction of the size of
+# its terms, and V as level to this fraction of the size of its terms.
+_CURVATURE_RTOL = 1e-6
+_LEVEL_RTOL = 1e-12
 
 
 class PotentialError(Exception):
@@ -167,13 +171,14 @@ def _merge_close(values, radius):
     return [float(np.mean(group)) for group in merged]
 
 
-def find_minima(potential, curvature_tol=1e-6):
+def find_minima(potential):
     """Locate the local minima of the potential.
 
     Stationary points are found from the companion matrix of V', harmonic
-    ones (V'' > curvature_tol) are polished by Newton iteration on V', and
-    degenerate ones (|V''| <= curvature_tol, e.g. a quartic-bottom well) are
+    ones (V'' > 1e-6 times the size of its terms) are polished by Newton
+    iteration on V', and degenerate ones (e.g. a quartic-bottom well) are
     kept but flagged non-harmonic.  Maxima and inflections are dropped.
+    Both tests are relative, so scaling V or x classifies alike.
     Returns minima sorted by location; raises NoWellsError if none remain.
     """
     from numpy.polynomial import polynomial as npoly
@@ -183,10 +188,11 @@ def find_minima(potential, curvature_tol=1e-6):
     if not candidates:
         raise NoWellsError("no wells")
 
+    d2coeffs = npoly.polyder(dcoeffs)
     harmonic_pts = []
     flat_pts = []
     for x in candidates:
-        if potential.derivative(x, 2) > curvature_tol:
+        if npoly.polyval(x, d2coeffs) > _CURVATURE_RTOL * _term_size(d2coeffs, x):
             harmonic_pts.append(x)
         else:
             flat_pts.append(x)
@@ -195,6 +201,7 @@ def find_minima(potential, curvature_tol=1e-6):
     # the 1e-8 radius used for simple minima.
     harmonic_pts = _merge_close(harmonic_pts, lambda v: 1e-8)
     flat_pts = _merge_close(flat_pts, lambda v: 1e-5 * (1.0 + abs(v)))
+    stationary = harmonic_pts + flat_pts
 
     minima = []
     for x in harmonic_pts:
@@ -210,7 +217,7 @@ def find_minima(potential, curvature_tol=1e-6):
             )
         )
     for x in flat_pts:
-        if not _is_local_minimum(potential, x):
+        if not _is_local_minimum(potential, x, stationary):
             continue
         curv = max(potential.derivative(x, 2), 0.0)
         minima.append(
@@ -244,10 +251,26 @@ def _newton_polish(potential, x, max_iter=60):
     raise RootRefinementError("Newton polishing did not converge", x)
 
 
-def _is_local_minimum(potential, x, h=1e-3):
-    step = h * (1.0 + abs(x))
-    v0 = potential(x)
-    return potential(x - step) >= v0 - 1e-12 and potential(x + step) >= v0 - 1e-12
+def _term_size(coefficients, x):
+    """sum_k |c_k x^k|: the size of the terms of the polynomial at x."""
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
+    return float(npoly.polyval(abs(x), np.abs(coefficients)))
+
+
+def _is_local_minimum(potential, x, stationary):
+    """V(x -+ step) >= V(x) up to rounding.
+
+    The step is half the distance to the nearest other stationary point:
+    V is monotone out to there on both sides, whatever the scale of the well.
+    """
+    gaps = [abs(p - x) for p in stationary if p != x]
+    if not gaps:
+        return True  # the only stationary point of a confining V is its minimum
+    step = 0.5 * min(gaps)
+    floor = potential(x) - _LEVEL_RTOL * _term_size(potential.coefficients, abs(x) + step)
+    return potential(x - step) >= floor and potential(x + step) >= floor
 
 
 def _legendre(n, x):

@@ -14,13 +14,23 @@ truncations of both sides are aligned (shifting a column start by s steps
 shifts the matching term count by s).  The reported `complete` flags are a
 float-level statement: the geometric tail bound (term ratio 4 r^2, valid
 for |r| < 1/2) no longer moves the float64 value.
+
+Every column sum comes from one table per triangle: the prefix sums of
+both branches along each diagonal (n-k, m-k), k >= 0, held as Python ints
+scaled by the common denominator of the coefficients (q^(depth+1) for
+r = p/q).  A truncated column sum of `count` terms starting at (n, m) is
+the difference of the rows (n+count-1, m+count-1) and (n-1, m-1), and each
+identity is checked exactly by cross-multiplying with p and q, e.g.
+q S = p (S_a - S_b) for S = r (S_a - S_b).  column_coefficients and
+central_sequence divide by the scale to return Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, isfinite, sqrt
+from itertools import zip_longest
+from math import comb, exp, factorial, isfinite, lcm, sqrt
 
 from .potential import ParameterError
 
@@ -38,12 +48,12 @@ class StabilizationError(TriangleError):
 
 
 class TriangleParameterError(ParameterError, TriangleError):
-    """An argument of a series helper outside its domain; `parameter` names it."""
+    """An argument outside its domain; `parameter` names it."""
 
 
 def _as_ratio(value):
     if isinstance(value, float):
-        raise TriangleError("exact ratio required: floats are rejected")
+        raise TriangleParameterError("ratio", "exact ratio required: floats are rejected")
     if isinstance(value, Fraction):
         ratio = value
     elif isinstance(value, int):
@@ -51,9 +61,9 @@ def _as_ratio(value):
     elif isinstance(value, str):
         ratio = Fraction(value)
     else:
-        raise TriangleError(f"cannot interpret {value!r} as an exact ratio")
+        raise TriangleParameterError("ratio", f"cannot interpret {value!r} as an exact ratio")
     if ratio == 0:
-        raise TriangleError("ratio must be nonzero")
+        raise TriangleParameterError("ratio", "ratio must be nonzero")
     return ratio
 
 
@@ -130,7 +140,7 @@ class CoefficientTriangle:
 def build_triangle(depth, ratio):
     """Populate the triangle row by row from the boundary and interior rules."""
     if depth < 0 or depth > DEPTH_CAP:
-        raise TriangleError(f"depth must be in [0, {DEPTH_CAP}]")
+        raise TriangleParameterError("depth", f"depth must be in [0, {DEPTH_CAP}]")
     r = _as_ratio(ratio)
     zero = Fraction(0)
     plus = {(0, 0): (r,)}
@@ -180,19 +190,35 @@ def closed_form_coefficients(key, ratio):
     return out
 
 
-def _column_sums(triangle, n, m, j_max, count):
-    """Truncated column sums: coefficients of sum_{k<count} I(n+k, m+k)."""
-    zero = Fraction(0)
-    plus = [zero] * (j_max + 1)
-    minus = [zero] * (j_max + 1)
-    for k in range(count):
-        pb = triangle.branch(n + k, m + k, "+")
-        mb = triangle.branch(n + k, m + k, "-")
-        for j in range(min(j_max + 1, len(pb))):
-            plus[j] += pb[j]
-        for j in range(min(j_max + 1, len(mb))):
-            minus[j] += mb[j]
-    return plus, minus
+class _DiagonalSums:
+    """Prefix sums of both branches along every diagonal, as scaled ints.
+
+    Row (n, m) of a branch holds the sum of the entries (n-k, m-k), k >= 0,
+    each coefficient times `scale`, the common denominator of the triangle.
+    Rows are zero-padded to depth + 2 coefficients, one more than an entry
+    holds, so that every index a column identity reads is in range.
+    """
+
+    def __init__(self, triangle):
+        stores = (triangle._plus, triangle._minus)
+        self.scale = lcm(*(w.denominator for store in stores for row in store.values() for w in row))
+        self._zero = [0] * (triangle.depth + 2)
+        self._rows = ({}, {})
+        for store, rows in zip(stores, self._rows):
+            for total in range(triangle.depth + 1):
+                for n in range(total + 1):
+                    m = total - n
+                    entry = [w.numerator * (self.scale // w.denominator) for w in store[(n, m)]]
+                    below = rows.get((n - 1, m - 1), self._zero)
+                    rows[(n, m)] = [a + b for a, b in zip_longest(entry, below, fillvalue=0)]
+
+    def column(self, branch, n, m, count, j):
+        """Scaled coefficient j of sum_{k<count} I(n+k, m+k); branch 0 is +, 1 is -."""
+        rows = self._rows[branch]
+        return rows[(n + count - 1, m + count - 1)][j] - rows.get((n - 1, m - 1), self._zero)[j]
+
+    def exact(self, branch, n, m, count, j):
+        return Fraction(self.column(branch, n, m, count, j), self.scale)
 
 
 def _max_count(triangle, n, m):
@@ -225,7 +251,9 @@ def column_coefficients(triangle, n, m, order):
     if (n + order) + (m + order) > triangle.depth:
         raise TriangleError("column exceeds triangle depth")
     count = order + 1
-    plus, minus = _column_sums(triangle, n, m, order - 1, count)
+    sums = _DiagonalSums(triangle)
+    plus = [sums.exact(0, n, m, count, j) for j in range(order)]
+    minus = [sums.exact(1, n, m, count, j) for j in range(order)]
 
     r = triangle.ratio
     q = 4.0 * float(r) ** 2
@@ -262,13 +290,11 @@ def central_sequence(triangle, order):
         raise StabilizationError(
             f"coefficient a_{half + 1} is not stabilized at depth {triangle.depth}"
         )
-    a_plus, a_minus = [], []
-    for i in range(order + 1):
-        count = half - i + 1
-        plus, minus = _column_sums(triangle, i, i, i, count)
-        a_plus.append(plus[i])
-        a_minus.append(minus[i])
-    return tuple(a_plus), tuple(a_minus)
+    sums = _DiagonalSums(triangle)
+    return tuple(
+        tuple(sums.exact(branch, i, i, half - i + 1, i) for i in range(order + 1))
+        for branch in (0, 1)
+    )
 
 
 @dataclass
@@ -291,13 +317,16 @@ class TriangleReport:
 def verify_column_relations(triangle):
     """Exact verification of the four column-sum identity families.
 
-    All comparisons are exact rational equalities with truncation-aligned
-    column sums; the main-rule family includes the central-column
+    All comparisons are exact equalities between truncation-aligned column
+    sums, cross-multiplied by p and q of the ratio r = p/q so that they stay
+    in integers; the main-rule family includes the central-column
     recurrence it implies.
     """
     r = triangle.ratio
+    p, q = r.numerator, r.denominator
     depth = triangle.depth
     jcap = depth // 2
+    column = _DiagonalSums(triangle).column
     families = {}
 
     # subtraction rule: S_j(n,m) = r [S_j(n,m-1) - S_j(n-1,m)], same count
@@ -307,13 +336,13 @@ def verify_column_relations(triangle):
             count = _max_count(triangle, n, m)
             if count < 1:
                 continue
-            s = _column_sums(triangle, n, m, jcap, count)
-            sa = _column_sums(triangle, n, m - 1, jcap, count)
-            sb = _column_sums(triangle, n - 1, m, jcap, count)
             for branch in (0, 1):
                 for j in range(jcap + 1):
                     checked += 1
-                    if s[branch][j] != r * (sa[branch][j] - sb[branch][j]):
+                    s = column(branch, n, m, count, j)
+                    sa = column(branch, n, m - 1, count, j)
+                    sb = column(branch, n - 1, m, count, j)
+                    if q * s != p * (sa - sb):
                         failed += 1
     families["subtraction"] = (checked, failed)
 
@@ -324,11 +353,9 @@ def verify_column_relations(triangle):
             count = _max_count(triangle, n + 1, m)
             if count < 1:
                 continue
-            s = _column_sums(triangle, n, m, jcap, count)[0]
-            t = _column_sums(triangle, n + 1, m, jcap + 1, count)[0]
             for j in range(jcap + 1):
                 checked += 1
-                if s[j] != t[j + 1]:
+                if column(0, n, m, count, j) != column(0, n + 1, m, count, j + 1):
                     failed += 1
     families["index-shift"] = (checked, failed)
 
@@ -337,16 +364,13 @@ def verify_column_relations(triangle):
     checked = failed = 0
     for n in range(depth):
         for m in range(depth - n):
-            cmax = _max_count(triangle, n, m)
+            count = _max_count(triangle, n, m)
             for j in range(n + 1, jcap + 1):
                 shift = j - n
-                count = cmax
                 if count - shift < 1:
                     continue
-                lhs = _column_sums(triangle, n, m, j, count)[0][j]
-                rhs = _column_sums(triangle, j, m + shift, j, count - shift)[0][j]
                 checked += 1
-                if lhs != rhs:
+                if column(0, n, m, count, j) != column(0, j, m + shift, count - shift, j):
                     failed += 1
     families["off-diagonal"] = (checked, failed)
 
@@ -358,28 +382,27 @@ def verify_column_relations(triangle):
             count = _max_count(triangle, j, m + 1)
             if count < 2:
                 continue
-            lhs = _column_sums(triangle, j, m, j, count)[0][j]
-            s_left = _column_sums(triangle, j, m - 1, j, count)[0][j]
-            s_right = _column_sums(triangle, j, m + 1, j, count - 1)[0][j]
+            lhs = column(0, j, m, count, j)
+            s_left = column(0, j, m - 1, count, j)
+            s_right = column(0, j, m + 1, count - 1, j)
             checked += 1
-            if lhs != r * (s_left - s_right):
+            if q * lhs != p * (s_left - s_right):
                 failed += 1
-            s_left2 = _column_sums(triangle, j - 1, m - 1, j - 1, count)[0][j - 1]
-            s_right2 = _column_sums(triangle, j + 1, m + 1, j + 1, count - 1)[0][j + 1]
+            s_left2 = column(0, j - 1, m - 1, count, j - 1)
+            s_right2 = column(0, j + 1, m + 1, count - 1, j + 1)
             checked += 1
-            if lhs != r * (s_left2 - s_right2):
+            if q * lhs != p * (s_left2 - s_right2):
                 failed += 1
     half = depth // 2
     for i in range(1, half):
         count = half - i + 1
-        ap_prev, am_prev = _column_sums(triangle, i - 1, i - 1, i - 1, count)
-        ap_mid, am_mid = _column_sums(triangle, i, i, i, count)
-        ap_next, am_next = _column_sums(triangle, i + 1, i + 1, i + 1, count - 1)
-        checked += 2
-        if ap_next[i + 1] != ap_prev[i - 1] - ap_mid[i] / r:
-            failed += 1
-        if am_next[i + 1] != am_prev[i - 1] + am_mid[i] / r:
-            failed += 1
+        for branch, sign in ((0, -1), (1, 1)):
+            a_prev = column(branch, i - 1, i - 1, count, i - 1)
+            a_mid = column(branch, i, i, count, i)
+            a_next = column(branch, i + 1, i + 1, count - 1, i + 1)
+            checked += 1
+            if p * a_next != p * a_prev + sign * q * a_mid:
+                failed += 1
     families["main-rule"] = (checked, failed)
 
     return TriangleReport(depth=depth, ratio=r, families=families)

@@ -195,6 +195,17 @@ class TestTriangleCommand:
         assert err["code"] == "bad-value"
         assert err["parameter"] == "ratio"
 
+    @pytest.mark.parametrize("flags, parameter, message", [
+        (("--depth", "4", "--ratio=0/5"), "ratio", "ratio must be nonzero"),
+        (("--depth", "25", "--ratio=1/5"), "depth", "depth must be in [0, 24]"),
+        (("--depth=-1", "--ratio=1/5"), "depth", "depth must be in [0, 24]"),
+    ])
+    def test_bad_value_names_its_parameter(self, capsys, flags, parameter, message):
+        code, out, err = run_cli(capsys, "triangle-verify", *flags, "--format", "json")
+        assert code == 2 and err == ""
+        error = assert_error_object(code, out, parameter)
+        assert error["code"] == "bad-value" and error["message"] == message
+
 
 class TestSumCommand:
     def test_partial_matches_closed(self, capsys):

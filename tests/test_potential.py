@@ -15,6 +15,7 @@ from instanton_gas.potential import (
     instanton_action,
     well_parameters,
 )
+from instanton_gas.schrodinger import benchmark_potential
 
 QUARTIC = PolynomialPotential((1.0, 0.0, -2.0, 0.0, 1.0))  # (x^2-1)^2
 # x^2 (x-2)^4, expanded
@@ -117,6 +118,39 @@ class TestFindMinima:
         )
         assert left.curvature == pytest.approx(12.0, rel=1e-12)
         assert right.curvature == pytest.approx(20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e8])
+    def test_scaled_benchmark_well_has_two_harmonic_minima(self, lam):
+        # V''(0) = -2 lam: the maximum between the wells is no minimum at any scale
+        minima = find_minima(benchmark_potential(lam, 0.0))
+        assert [w.location for w in minima] == pytest.approx([-1.0, 1.0], abs=1e-12)
+        for w in minima:
+            assert w.harmonic
+            assert w.curvature == pytest.approx(16.0 * lam, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-3, 1e3, 1e8])
+    def test_scaled_quartic_bottom_stays_non_harmonic(self, lam):
+        scaled = PolynomialPotential(tuple(lam * c for c in SEXTIC.coefficients))
+        origin, flat = find_minima(scaled)
+        assert origin.harmonic and origin.curvature == pytest.approx(32.0 * lam, rel=1e-10)
+        assert flat.location == pytest.approx(2.0, abs=1e-4)
+        assert not flat.harmonic
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-3, 1e3, 1e8])
+    def test_scaled_quartic_top_is_no_minimum(self, lam):
+        # lam (1 - x^4/4 + x^6/6): a flat maximum at 0 between minima with V'' = 2 lam
+        minima = find_minima(PolynomialPotential((lam, 0.0, 0.0, 0.0, -lam / 4, 0.0, lam / 6)))
+        assert [w.location for w in minima] == pytest.approx([-1.0, 1.0], abs=1e-12)
+        assert all(w.harmonic and w.curvature == pytest.approx(2.0 * lam, rel=1e-12) for w in minima)
+
+    @pytest.mark.parametrize("a", [1e-4, 1e-2, 1e2, 1e4])
+    def test_well_scaled_in_x_keeps_harmonic_minima(self, a):
+        # (x^2 - a^2)^2 has V'' = 8 a^2 at x = +-a
+        minima = find_minima(PolynomialPotential((a**4, 0.0, -2.0 * a * a, 0.0, 1.0)))
+        assert [w.location / a for w in minima] == pytest.approx([-1.0, 1.0], abs=1e-12)
+        for w in minima:
+            assert w.harmonic
+            assert w.curvature == pytest.approx(8.0 * a * a, rel=1e-12)
 
     def test_residual_and_frequency_invariants(self):
         for pot in (QUARTIC, SEXTIC, PRODUCT):

@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import comb, exp, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instanton_gas.moments import moment_recursive
 from instanton_gas.potential import WellParameters
 from instanton_gas.triangle import (
     BasisCoefficient,
+    CoefficientTriangle,
     StabilizationError,
     TriangleError,
     TriangleParameterError,
@@ -21,11 +23,53 @@ from instanton_gas.triangle import (
     exponential_split,
     series_a0_a1,
     verify_column_relations,
+    _DiagonalSums,
 )
+
+FAMILIES = ("subtraction", "index-shift", "off-diagonal", "main-rule")
+# identities checked per family at each depth, as the direct Fraction column
+# sums counted them; they do not depend on the ratio
+CHECKED = {
+    0: (0, 0, 0, 0),
+    1: (0, 1, 0, 0),
+    2: (0, 6, 1, 0),
+    3: (4, 12, 2, 0),
+    4: (18, 30, 6, 2),
+    5: (36, 45, 9, 4),
+    6: (80, 84, 18, 10),
+    7: (120, 112, 24, 16),
+    8: (210, 180, 40, 26),
+    9: (280, 225, 50, 34),
+    10: (432, 330, 75, 48),
+    11: (540, 396, 90, 58),
+    12: (770, 546, 126, 76),
+    13: (924, 637, 147, 88),
+    14: (1248, 840, 196, 110),
+    15: (1456, 960, 224, 124),
+    16: (1890, 1224, 288, 150),
+    17: (2160, 1377, 324, 166),
+    18: (2720, 1710, 405, 196),
+    19: (3060, 1900, 450, 214),
+    20: (3762, 2310, 550, 248),
+    21: (4180, 2541, 605, 268),
+    22: (5040, 3036, 726, 306),
+    23: (5544, 3312, 792, 328),
+    24: (6578, 3900, 936, 370),
+}
 
 
 def as_set(coeffs):
     return {(c.sign, c.j, c.weight) for c in coeffs}
+
+
+def corrupted(triangle, sign, key, j, weight):
+    """A copy of the triangle with one coefficient replaced."""
+    plus, minus = dict(triangle._plus), dict(triangle._minus)
+    store = plus if sign == "+" else minus
+    row = list(store[key])
+    row[j] = weight
+    store[key] = tuple(row)
+    return CoefficientTriangle(depth=triangle.depth, ratio=triangle.ratio, _plus=plus, _minus=minus)
 
 
 class TestConstruction:
@@ -144,6 +188,58 @@ class TestColumnSums:
         assert report.total_failures == 0
         checked, failed = report.families["main-rule"]
         assert checked > 100 and failed == 0
+
+    @pytest.mark.parametrize("ratio", ["2/5", "-7/3"])
+    @pytest.mark.parametrize("depth", sorted(CHECKED))
+    def test_frozen_family_counts(self, depth, ratio):
+        report = verify_column_relations(build_triangle(depth, Fraction(ratio)))
+        assert report.families == {
+            name: (checked, 0) for name, checked in zip(FAMILIES, CHECKED[depth])
+        }
+
+    @pytest.mark.parametrize("ratio", ["9", "-1/9"])
+    def test_all_exact_at_depth_24(self, ratio):
+        report = verify_column_relations(build_triangle(24, Fraction(ratio)))
+        assert report.total_failures == 0
+        assert report.total_checked == sum(CHECKED[24])
+
+    # failures per family after one coefficient is replaced, as the direct
+    # Fraction column sums counted them
+    @pytest.mark.parametrize("depth, ratio, sign, key, j, shift, failures", [
+        (10, "2/5", "+", (5, 5), 5, Fraction(-7, 11), (4, 5, 0, 1)),
+        (12, "2/5", "+", (3, 2), 1, Fraction(1, 3), (7, 6, 0, 2)),
+        (16, "-1/9", "-", (0, 0), 0, Fraction(1, 9), (0, 0, 0, 1)),
+        (18, "-7/3", "-", (4, 6), 2, None, (13, 0, 0, 0)),
+        (24, "9", "+", (1, 1), 0, Fraction(5), (3, 2, 0, 2)),
+    ])
+    def test_corrupted_coefficient_fails(self, depth, ratio, sign, key, j, shift, failures):
+        tri = build_triangle(depth, Fraction(ratio))
+        weight = tri.branch(*key, sign)[j]
+        bad = corrupted(tri, sign, key, j, 2 * weight if shift is None else weight + shift)
+        report = verify_column_relations(bad)
+        assert report.families == {
+            name: (checked, failed)
+            for name, checked, failed in zip(FAMILIES, CHECKED[depth], failures)
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-40, 40).filter(bool),
+        st.integers(1, 40),
+        st.integers(0, 12),
+        st.data(),
+    )
+    def test_table_matches_direct_fraction_sums(self, p, q, depth, data):
+        tri = build_triangle(depth, Fraction(p, q))
+        sums = _DiagonalSums(tri)
+        n = data.draw(st.integers(0, depth))
+        m = data.draw(st.integers(0, depth - n))
+        count = data.draw(st.integers(1, (depth - n - m) // 2 + 1))
+        for branch, sign in enumerate("+-"):
+            rows = [tri.branch(n + k, m + k, sign) for k in range(count)]
+            for j in range(depth + 2):
+                direct = sum(row[j] for row in rows if j < len(row))
+                assert sums.exact(branch, n, m, count, j) == direct
 
     def test_column_coefficients_shape(self):
         tri = build_triangle(12, Fraction(1, 5))
