@@ -4,9 +4,10 @@ The package evaluates the family of multi-event overlap integrals that sum
 the dilute instanton gas for a one-dimensional double well whose two minima
 are degenerate in energy but have different curvatures.  It provides three
 independent evaluation routes for the integrals (closed form, recursion,
-quadrature), an exact-rational verification of the combinatorial triangle
-behind the closed form, the summed two-level spectrum, and a finite
-difference Schrodinger benchmark of the resulting splitting formula.
+quadrature) and Kummer's series for near-equal curvatures, an
+exact-rational verification of the combinatorial triangle behind the
+closed form, the summed two-level spectrum, and a finite difference
+Schrodinger benchmark of the resulting splitting formula.
 """
 
 from .potential import (
@@ -22,6 +23,7 @@ from .moments import (
     MomentTable,
     MomentValue,
     moment_closed,
+    moment_kummer,
     moment_quadrature,
     moment_recursive,
     moment_symmetric,

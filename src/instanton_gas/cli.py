@@ -154,8 +154,8 @@ def _run_moments(a):
 
 def _run_sum(a):
     params = _well_parameters(a)
-    if a.terms < 1:
-        raise CliError("bad-value", "terms must be >= 1", "terms")
+    if not 1 <= a.terms <= DEPTH_CAP + 1:
+        raise CliError("bad-value", f"terms must be from 1 to {DEPTH_CAP + 1}", "terms")
     closed = gas_sum_closed(params)
     partial, terms = gas_sum_partial(params, a.terms)
     obj = {

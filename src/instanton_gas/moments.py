@@ -27,13 +27,20 @@ predicted digit loss exceeds what float64 carries.  mpmath is imported on
 the first escalation, so evaluations that stay in float64 never load it.
 
 Quadrature is the oracle: composite Gauss-Legendre in numpy, checked
-against a second rule.  It is also the production route of multi_instanton
-below |d| T = 0.1.  No route loads scipy.
+against a second rule.  Below |d| T = 0.1 multi_instanton sums Kummer's
+series instead,
+
+    I(n,m) = (BT)^N/N! e^(-|d|T/2) M(p+1, N+1, |d|T),   N = n+m+1,
+
+with p = n for d >= 0 and p = m otherwise (DLMF 13.4.1, and Kummer's
+transformation 13.2.39 for d < 0): every term is positive, so nothing
+cancels, and the series needs plain floats only.  No route loads scipy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -58,12 +65,15 @@ _PANEL_SPAN = 16.0
 _TAIL = 300.0
 # Relative disagreement of the two rules beyond which the quadrature is refused.
 _QUADRATURE_RTOL = 1e-12
+# |d| T below which Kummer's series is summed: each term is at most a tenth
+# of the one before, so a dozen terms reach the float64 rounding.
+_KUMMER_DT = 0.1
 # ln 2 split for exact multiples k ln 2 with |k| < 2^21 (fdlibm).
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
-_METHODS = ("closed", "recursive", "quadrature", "symmetric-limit")
+_METHODS = ("closed", "recursive", "quadrature", "kummer", "symmetric-limit")
 
 
 class MomentError(Exception):
@@ -92,12 +102,19 @@ class MomentParameterError(ParameterError, MomentError):
 
 @dataclass(frozen=True)
 class MomentKey:
-    """Index pair: n events toward the softer side, m back."""
+    """Index pair: n events toward the softer side, m back.
+
+    Integral values of other types (2.0, numpy integers) are stored as int."""
 
     n: int
     m: int
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            value = _integral(getattr(self, name))
+            if value is None:
+                raise MomentKeyError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.n < 0 or self.m < 0:
             raise MomentKeyError("n and m must be non-negative")
         if self.n > DEPTH_CAP or self.m > DEPTH_CAP:
@@ -134,11 +151,21 @@ def _require_b(params):
         raise MomentParameterError("B", "params.B required")
 
 
+def _integral(value):
+    """value as an int when it is integral (2, 2.0, a numpy integer), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        return None
+
+
 def _as_key(key):
     if isinstance(key, MomentKey):
         return key
     n, m = key
-    return MomentKey(int(n), int(m))
+    return MomentKey(n, m)
 
 
 def prefactor(params):
@@ -286,7 +313,8 @@ def moment_recursive(max_n, max_m, params):
     the common prefactor; the full value restores it.
     """
     _require_b(params)
-    MomentKey(max_n, max_m)  # the same index limits as every other route
+    key = MomentKey(max_n, max_m)  # the same index limits as every other route
+    max_n, max_m = key.n, key.m
     if params.delta == 0.0 or abs(params.delta) * params.T < 1e-12:
         raise SymmetricLimitError(
             "|delta| T below stability threshold: use moment_symmetric"
@@ -417,6 +445,52 @@ def moment_quadrature(key, params):
     return MomentValue(stripped, stripped * prefactor(params), "quadrature")
 
 
+def moment_kummer(key, params):
+    """Kummer-series evaluation of I(n, m) for |delta| T < 0.1; the route of
+    multi_instanton there.
+
+    With N = n+m+1, z = |delta| T and p = n for delta >= 0, else m,
+
+        stripped I(n, m) = (BT)^N / N!  e^(-z/2)  M(p+1, N+1, z).
+
+    Every term of M is positive and at most z times the one before, so the
+    sum neither cancels nor needs more than a dozen terms.  (BT)^N is
+    formed as mantissas and a power of two, so that no factor leaves the
+    float64 range before the result does.  B = 0 gives 0; MomentError is
+    raised when the stripped value exceeds float64, and MomentParameterError
+    naming delta when |delta| T >= 0.1.
+    """
+    key = _as_key(key)
+    n, m = key.n, key.m
+    _require_b(params)
+    d, b, t = params.delta, params.B, params.T
+    z = abs(d) * t
+    if not z < _KUMMER_DT:
+        raise MomentParameterError(
+            "delta", f"the Kummer series needs |delta| T < {_KUMMER_DT}, got {z!r}"
+        )
+    if b == 0.0:
+        return MomentValue(0.0, 0.0, "kummer")
+    if _log_stripped_lower(n, m, params) > _LOG_HUGEST:
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
+    big_n = n + m + 1
+    a = (n if d >= 0.0 else m) + 1
+    term = series = 1.0
+    k = 0
+    while term > 1e-17 * series:
+        term *= (a + k) / (big_n + 1 + k) * z / (k + 1)
+        series += term
+        k += 1
+    mb, eb = frexp(b)
+    mt, et = frexp(t)
+    mantissa = mb**big_n * mt**big_n / factorial(big_n) * (exp(-z / 2.0) * series)
+    try:
+        stripped = ldexp(mantissa, big_n * (eb + et))
+    except OverflowError:
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
+    return MomentValue(stripped, stripped * prefactor(params), "kummer")
+
+
 def moment_symmetric(key, B, T, omega):
     """Equal-curvature limit: the integral collapses to a Beta function,
 
@@ -438,16 +512,19 @@ def moment_symmetric(key, B, T, omega):
 def multi_instanton(i, params):
     """Full I(i, i): the (2i+1)-event well-to-well contribution.
 
-    Gauss-Legendre quadrature (moment_quadrature) below |delta| T = 0.1,
-    where the closed form cancels; above it the closed form (escalating to
-    mpmath where float64 would cancel).
+    Kummer's series (moment_kummer) below |delta| T = 0.1, where the closed
+    form cancels; above it the closed form (escalating to mpmath where
+    float64 would cancel).  Neither loads numpy.
     """
-    if i < 0:
+    index = _integral(i)
+    if index is None:
+        raise MomentParameterError("i", f"i must be an integer, got {i!r}")
+    if index < 0:
         raise MomentParameterError("i", "i must be >= 0")
     _require_b(params)
-    if abs(params.delta) * params.T < 1e-1:
-        return moment_quadrature(MomentKey(i, i), params)
-    return moment_closed(MomentKey(i, i), params)
+    if abs(params.delta) * params.T < _KUMMER_DT:
+        return moment_kummer(MomentKey(index, index), params)
+    return moment_closed(MomentKey(index, index), params)
 
 
 def sweep_grid():

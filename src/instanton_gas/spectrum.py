@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import exp, hypot, lgamma, log, sqrt
 from typing import NamedTuple
 
-from .moments import multi_instanton
+from .moments import DEPTH_CAP, _integral, multi_instanton
 from .potential import ParameterError
 
 # Natural log of the smallest positive float64 (the least subnormal).
@@ -163,19 +163,27 @@ def _term(i, params):
 def gas_sum_partial(params, n_terms=None):
     """Partial sums of the multi-event contributions M_i = I(i, i).
 
-    With n_terms given, exactly that many terms are evaluated; otherwise
-    accumulation stops once a term contributes less than 1e-16 relative or
-    at 64 terms, whichever comes first.  A term whose bound lies below the
-    smallest float64 is 0.0 without being evaluated, which keeps large T
-    finite and fast.  Returns (sum, terms).
+    With n_terms given (an integer from 1 to DEPTH_CAP + 1), exactly that
+    many terms are evaluated; otherwise accumulation stops once a term
+    contributes less than 1e-16 relative or at 64 terms, whichever comes
+    first.  A term whose bound lies below the smallest float64 is 0.0
+    without being evaluated, which keeps large T finite and fast.  Returns
+    (sum, terms).
     """
     _require_b(params)
     terms = []
     total = 0.0
     if n_terms is not None:
-        if n_terms < 1:
+        count = _integral(n_terms)
+        if count is None:
+            raise SpectrumParameterError("n_terms", f"n_terms must be an integer, got {n_terms!r}")
+        if count < 1:
             raise SpectrumParameterError("n_terms", "n_terms must be >= 1")
-        for i in range(n_terms):
+        if count > DEPTH_CAP + 1:
+            raise SpectrumParameterError(
+                "n_terms", f"n_terms must be <= {DEPTH_CAP + 1}: I(i, i) is capped at i = {DEPTH_CAP}"
+            )
+        for i in range(count):
             t = _term(i, params)
             terms.append(t)
             total += t

@@ -437,6 +437,7 @@ class TestBoundary:
         (("spectrum", "--omega0", "2", "--omega1", "1", "--K", "1", "--S-inst", "inf"), "s_inst"),
         (("sum", *WELL, "--T", "nan"), "T"),
         (("sum", *WELL, "--T", "2", "--terms", "0"), "terms"),
+        (("sum", *WELL, "--T", "2", "--terms", "70"), "terms"),
     ])
     def test_bad_parameter_is_named(self, capsys, argv, parameter):
         code, out, _ = run_cli(capsys, *argv, "--format", "json")

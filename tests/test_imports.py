@@ -1,8 +1,8 @@
 """Import budget: the CLI loads only the numpy, mpmath and scipy that a command calls.
 
-No command loads scipy.integrate: the quadrature oracle and the
-near-symmetric gas sum integrate by Gauss-Legendre in numpy, and only the
-grid commands load scipy.linalg.  Every check runs in a fresh
+No command loads scipy.integrate: the quadrature oracle integrates by
+Gauss-Legendre in numpy, the gas sum needs no numpy at any asymmetry, and
+only the grid commands load scipy.linalg.  Every check runs in a fresh
 interpreter, because the pytest process itself has already imported
 scipy.integrate (pytest resolves the IntegrationWarning filter of
 pyproject.toml when it starts).
@@ -83,10 +83,14 @@ def test_benchmark_loads_linalg_not_integrate():
 @pytest.mark.parametrize("argv", [
     ("moments", "--n", "1", "--m", "1", *_WELL, "--T", "2", "--method", "quadrature"),
     ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),
-    # |d| T = 1.5e-5: every term of the sum is integrated
-    ("sum", "--omega0", "2.00001", "--omega1", "2", "--B", "0.5", "--T", "3", "--terms", "40"),
 ])
 def test_quadrature_loads_numpy_and_no_scipy(argv):
     loaded = heavy_loaded(*argv)
     assert "numpy" in loaded
     assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+def test_near_symmetric_sum_loads_no_numpy_mpmath_or_scipy():
+    # |d| T = 1.5e-5: every term is a Kummer series in plain floats
+    argv = ("sum", "--omega0", "2.00001", "--omega1", "2", "--B", "0.5", "--T", "3", "--terms", "40")
+    assert heavy_loaded(*argv) == set()

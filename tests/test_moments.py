@@ -11,11 +11,13 @@ from instanton_gas import moments
 from instanton_gas.moments import (
     MomentError,
     MomentKey,
+    MomentKeyError,
     MomentParameterError,
     MomentValue,
     QuadratureError,
     SymmetricLimitError,
     moment_closed,
+    moment_kummer,
     moment_quadrature,
     moment_recursive,
     moment_symmetric,
@@ -214,6 +216,68 @@ class TestClosed:
         assert c.stripped == pytest.approx(q.stripped, rel=1e-10)
 
 
+class TestKummer:
+    def test_zero_b_gives_zero(self):
+        params = WellParameters(omega0=1.0, omega1=1.0 + 1e-3, T=2.0, B=0.0)
+        assert moment_kummer((3, 2), params) == MomentValue(0.0, 0.0, "kummer")
+
+    # refused by the a-priori bound, found on scaling the mantissa, and either at N = 129
+    @pytest.mark.parametrize("key, T, B", [((3, 3), 1e300, 0.5), ((0, 0), 2.0, 1e308), ((64, 64), 2.0, 1e4)])
+    def test_beyond_float64_is_moment_error(self, key, T, B):
+        params = WellParameters(omega0=1.0, omega1=1.0, T=T, B=B)
+        with pytest.raises(MomentError, match="exceeds float64"):
+            moment_kummer(key, params)
+
+    @pytest.mark.parametrize("key", [(0, 0), (1, 0), (2, 1), (7, 7), (40, 23), (64, 64)])
+    def test_zero_delta_equals_symmetric_limit(self, key):
+        value = moment_kummer(key, WellParameters(omega0=1.5, omega1=1.5, T=2.0, B=0.7))
+        reference = moment_symmetric(key, B=0.7, T=2.0, omega=1.5)
+        assert value.stripped == pytest.approx(reference.stripped, rel=2e-15)
+        assert value.full == pytest.approx(reference.full, rel=2e-15)
+
+    @pytest.mark.parametrize("delta_t", [0.1, -0.5, 1e300])
+    def test_outside_domain_names_delta(self, delta_t):
+        with pytest.raises(MomentParameterError, match=r"needs \|delta\| T < 0.1") as excinfo:
+            moment_kummer((1, 1), well(delta_t / 2.0, 2.0, 0.3))
+        assert excinfo.value.parameter == "delta"
+
+    def test_multi_instanton_near_symmetric_matches_quadrature(self):
+        # the B and T of the sweep grid, with |d| T from 0 to just below 0.1 of either sign
+        for k, params in enumerate(sweep_grid()[::4]):
+            delta_t = (0.0, 1e-7, 3e-4, 0.02, 0.0999)[k % 5] * (-1.0) ** k
+            near = well(delta_t / params.T, params.T, params.B)
+            for i in (0, 1, 5, 17, 39):
+                value = multi_instanton(i, near)
+                assert value.method == "kummer"
+                assert value.full == pytest.approx(moment_quadrature((i, i), near).full, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 64),
+    m=st.integers(0, 64),
+    delta_t=st.one_of(st.just(0.0), st.floats(0.0, 0.1, exclude_max=True), st.floats(1e-12, 1e-3)),
+    sign=st.sampled_from((-1.0, 1.0)),
+    T=st.floats(0.1, 30.0),
+    B=st.floats(0.01, 5.0),
+)
+@example(n=64, m=64, delta_t=0.0, sign=1.0, T=2.0, B=150.0)  # B T = 300
+@example(n=64, m=64, delta_t=0.0999, sign=-1.0, T=2.0, B=150.0)
+@example(n=0, m=64, delta_t=0.0999, sign=1.0, T=0.1, B=0.01)
+def test_kummer_against_50_digits(n, m, delta_t, sign, T, B):
+    params = well(sign * delta_t / T, T, B)
+    if not abs(params.delta) * T < 0.1:  # delta rounded up across the domain's edge
+        return
+    reference = reference_50_digits(n, m, params)
+    try:
+        value = moment_kummer((n, m), params)
+    except MomentError:
+        assert reference > sys.float_info.max * (1.0 - 1e-14)
+        return
+    assert math.isfinite(value.stripped) and math.isfinite(value.full)
+    assert abs(value.stripped - reference) <= 1e-14 * reference + 5e-324
+
+
 class TestSymmetric:
     def test_diagonal_value(self):
         val = moment_symmetric((1, 1), B=0.3, T=2.0, omega=1.0)
@@ -242,7 +306,7 @@ class TestMultiInstanton:
         params = WellParameters(omega0=1.0, omega1=1.0, T=2.0, B=0.3)
         val = multi_instanton(0, params)
         assert val.full == pytest.approx(0.6 * exp(-1.0), rel=1e-12)
-        assert val.method == "quadrature"
+        assert val.method == "kummer"
 
     def test_three_event_matches_quadrature(self):
         val = multi_instanton(1, P_EXAMPLE)
@@ -323,6 +387,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             MomentKey(0, 65)
 
+    @pytest.mark.parametrize("key, name", [((1.5, 2), "n"), ((1, 2.5), "m"), (("1", 2), "n"), ((None, 2), "n")])
+    def test_non_integral_index_is_key_error(self, key, name):
+        with pytest.raises(MomentKeyError, match=f"{name} must be an integer"):
+            moment_closed(key, P_EXAMPLE)
+
+    def test_integral_index_of_any_type(self):
+        assert MomentKey(2.0, True) == MomentKey(2, 1)
+        assert type(MomentKey(2.0, 1).n) is int
+        assert moment_closed((2.0, 1.0), P_EXAMPLE) == moment_closed((2, 1), P_EXAMPLE)
+        assert moment_recursive(2.0, 1.0, P_EXAMPLE).value(2, 1) == moment_recursive(2, 1, P_EXAMPLE).value(2, 1)
+        assert multi_instanton(1.0, P_EXAMPLE) == multi_instanton(1, P_EXAMPLE)
+
+    def test_non_integral_event_index(self):
+        with pytest.raises(MomentParameterError, match="i must be an integer") as excinfo:
+            multi_instanton(1.5, P_EXAMPLE)
+        assert excinfo.value.parameter == "i"
+
     def test_method_validation(self):
         with pytest.raises(ValueError):
             MomentValue(1.0, 1.0, "guess")
@@ -341,6 +422,7 @@ class TestValidation:
         lambda p: moment_closed((1, 1), p),
         lambda p: moment_recursive(1, 1, p),
         lambda p: moment_quadrature((1, 1), p),
+        lambda p: moment_kummer((1, 1), p),
         lambda p: multi_instanton(1, p),
     ])
     def test_b_required(self, evaluate):

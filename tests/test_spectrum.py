@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from instanton_gas import spectrum
 from instanton_gas.moments import multi_instanton, sweep_grid
 from instanton_gas.potential import ParameterError, WellParameters
 from instanton_gas.spectrum import (
@@ -250,6 +251,20 @@ class TestParameterErrors:
         with pytest.raises(SpectrumParameterError, match="n_terms must be >= 1") as excinfo:
             gas_sum_partial(P_EXAMPLE, n_terms)
         self.check(excinfo, "n_terms")
+
+    @pytest.mark.parametrize("n_terms, message", [(66, "n_terms must be <= 65"), (2.5, "n_terms must be an integer")])
+    def test_n_terms_refused_before_any_term(self, monkeypatch, n_terms, message):
+        def no_terms(*args):
+            raise AssertionError("a term was evaluated")
+
+        monkeypatch.setattr(spectrum, "multi_instanton", no_terms)
+        with pytest.raises(SpectrumParameterError, match=message) as excinfo:
+            gas_sum_partial(P_EXAMPLE, n_terms)
+        self.check(excinfo, "n_terms")
+
+    def test_n_terms_at_the_cap_and_integral_floats(self):
+        assert len(gas_sum_partial(P_EXAMPLE, 65)[1]) == 65
+        assert gas_sum_partial(P_EXAMPLE, 3.0) == gas_sum_partial(P_EXAMPLE, 3)
 
     def test_coupling(self):
         with pytest.raises(SpectrumParameterError, match="coupling must be >= 0") as excinfo:
