@@ -22,9 +22,9 @@ direct quadrature of the integral, the integration-by-parts recursion
            + e^(-w0 T/2) sum_{j<=m} C(m+n-j, n) (-1)^(n+1) (B/d)^(n+m-j+1) (BT)^j/j!
 
 Both the recursion and the closed form cancel catastrophically for small
-|d| T or large |B/d|; evaluation escalates to mpmath arithmetic when the
-predicted digit loss exceeds what float64 carries.  mpmath is imported on
-the first escalation, so evaluations that stay in float64 never load it.
+|d| T or large |B/d|, so both always run in mpmath, at one digit count
+from a bound on the closed form's |terms| (_working_digits), and round
+once to float64.  mpmath is imported on their first call.
 
 Quadrature is the oracle: composite Gauss-Legendre in numpy, checked
 against a second rule.  Below |d| T = 0.1 multi_instanton sums Kummer's
@@ -44,17 +44,16 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cache
-from math import comb, exp, factorial, frexp, ldexp, lgamma, log, log10
+from math import comb, exp, factorial, frexp, ldexp, lgamma, log
 
 from .potential import ParameterError, WellParameters, _gauss_rule
 
 DEPTH_CAP = 64
-_LOG10_E = math.log10(math.e)
 # Natural log of the largest float64.
 _LOG_HUGEST = log(sys.float_info.max)
-# predicted cancellation (digits) beyond which float64 is abandoned; the
-# remaining ~1e-10 headroom keeps the three-way cross checks at 1e-8 safe
-_FLOAT_DIGIT_BUDGET = 6.0
+# Decimal digits carried beyond the closed form's worst-case cancellation.
+_GUARD_DIGITS = 30
+_LN10 = math.log(10.0)
 # Gauss-Legendre nodes per panel of the quadrature's fine and coarse rule;
 # both exceed DEPTH_CAP + 1, so both integrate the polynomial part exactly.
 _FINE_NODES = 128
@@ -173,34 +172,6 @@ def prefactor(params):
     return exp(-(params.omega0 + params.omega1) * params.T / 4.0)
 
 
-def _predicted_digit_loss(n, m, params):
-    """log10(largest closed-form term / guaranteed lower bound on stripped)."""
-    b, d, t = params.B, params.delta, params.T
-    if b == 0.0:
-        return 0.0
-    log_r = log10(b) - log10(abs(d))  # b / d and b t themselves may underflow
-    log_bt = log10(b) + log10(t)
-    half = abs(d) * t / 2.0 * _LOG10_E
-
-    def branch_max(outer, inner, sign_exp):
-        best = -math.inf
-        for i in range(outer + 1):
-            lg = (
-                sign_exp
-                + (lgamma(m + n - i + 1) - lgamma(inner + 1) - lgamma(m + n - i - inner + 1))
-                * _LOG10_E
-                + (n + m - i + 1) * log_r
-                + i * log_bt
-                - lgamma(i + 1) * _LOG10_E
-            )
-            best = max(best, lg)
-        return best
-
-    max_term = max(branch_max(n, m, half), branch_max(m, n, half))
-    lower = (n + m + 1) * log_bt - lgamma(n + m + 2) * _LOG10_E - half
-    return max(0.0, max_term - lower)
-
-
 def _log_stripped_lower(n, m, params):
     """A lower bound of ln(stripped I(n, m)), for B > 0.
 
@@ -223,44 +194,35 @@ def _log_stripped_lower(n, m, params):
 
 
 def _working_digits(n, m, params):
-    """mpmath digits for the closed form or recursion up to (n, m); None for float64.
+    """mpmath digits for the closed form, or the recursion, up to (n, m).
 
-    Raises MomentError, before any digits are spent, when the stripped
-    I(n, m) certainly exceeds float64 (the digit count grows like |d| T).
+    With N = n+m+1 and z = |d| T, (BT)^i = |B/d|^i z^i, so the |terms| of
+    the closed form sum to at most 2 C(n+m, n) |B/d|^N e^(3z/2).  Its ratio
+    to _log_stripped_lower bounds the digits that cancel, and _GUARD_DIGITS
+    more are carried.  Raises MomentError, before any digits are spent,
+    when the stripped I(n, m) certainly exceeds float64 (the digit count
+    grows like |d| T).
     """
-    if _log_stripped_lower(n, m, params) > _LOG_HUGEST:
+    lower = _log_stripped_lower(n, m, params)
+    if lower > _LOG_HUGEST:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64")
-    loss = _predicted_digit_loss(n, m, params)
-    return None if loss <= _FLOAT_DIGIT_BUDGET else int(loss) + 30
+    b, d, t = params.B, params.delta, params.T
+    log_ratio = log(b) - log(abs(d))  # B / d itself may underflow or overflow
+    log_bound = _LN2 + log(comb(n + m, n)) + (n + m + 1) * log_ratio + 1.5 * abs(d) * t
+    return math.ceil((log_bound - lower) / _LN10) + _GUARD_DIGITS
 
 
-def _neumaier_sum(terms):
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp
+def _mp_basis(params):
+    """B/d, BT, e^(dT/2) and e^(-dT/2) in mpmath at the working precision."""
+    import mpmath as mp
 
-
-def _closed_terms(n, m, r, bt, e_plus, e_minus):
-    """Yield all closed-form terms of the stripped value (generic arithmetic)."""
-    for i in range(n + 1):
-        yield e_plus * comb(m + n - i, m) * (-1) ** (n - i) * r ** (n + m - i + 1) * bt**i / factorial(i)
-    for j in range(m + 1):
-        yield e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
+    d, b, t = mp.mpf(params.delta), mp.mpf(params.B), mp.mpf(params.T)
+    return b / d, b * t, mp.exp(d * t / 2), mp.exp(-d * t / 2)
 
 
 def moment_closed(key, params):
-    """Closed-form evaluation of I(n, m).
-
-    Float64 with compensated summation, or mpmath when the predicted
-    cancellation exceeds what float64 carries.
-    """
+    """Closed-form evaluation of I(n, m), summed in mpmath at _working_digits
+    and rounded once to float64."""
     key = _as_key(key)
     n, m = key.n, key.m
     _require_b(params)
@@ -269,29 +231,17 @@ def moment_closed(key, params):
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "closed")
 
-    dps = _working_digits(n, m, params)
-    d, b, t = params.delta, params.B, params.T
-    if dps is None:
-        r = b / d
-        bt = b * t
-        e_plus = exp(d * t / 2.0)
-        e_minus = exp(-d * t / 2.0)
-        stripped = _neumaier_sum(_closed_terms(n, m, r, bt, e_plus, e_minus))
-    else:
-        import mpmath as mp
+    import mpmath as mp
 
-        with mp.workdps(dps):
-            dm, bm, tm = mp.mpf(d), mp.mpf(b), mp.mpf(t)
-            r = bm / dm
-            bt = bm * tm
-            e_plus = mp.exp(dm * tm / 2)
-            e_minus = mp.exp(-dm * tm / 2)
-            acc = mp.mpf(0)
-            for term in _closed_terms(n, m, r, bt, e_plus, e_minus):
-                acc += term
-            stripped = float(acc)
-    full = stripped * prefactor(params)
-    return MomentValue(stripped, full, "closed")
+    with mp.workdps(_working_digits(n, m, params)):
+        r, bt, e_plus, e_minus = _mp_basis(params)
+        acc = mp.mpf(0)
+        for i in range(n + 1):
+            acc += e_plus * comb(m + n - i, m) * (-1) ** (n - i) * r ** (n + m - i + 1) * bt**i / factorial(i)
+        for j in range(m + 1):
+            acc += e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
+        stripped = float(acc)
+    return MomentValue(stripped, stripped * prefactor(params), "closed")
 
 
 @dataclass(frozen=True)
@@ -309,8 +259,10 @@ class MomentTable:
 def moment_recursive(max_n, max_m, params):
     """Fill the full (max_n+1) x (max_m+1) rectangle by the recursion.
 
-    Requires delta != 0 (every rule divides by it).  Values are stripped of
-    the common prefactor; the full value restores it.
+    Requires delta != 0 (every rule divides by it).  The whole rectangle is
+    filled in mpmath at the _working_digits of its (max_n, max_m) corner,
+    and each entry is rounded once to float64.  Values are stripped of the
+    common prefactor; the full value restores it.
     """
     _require_b(params)
     key = MomentKey(max_n, max_m)  # the same index limits as every other route
@@ -327,29 +279,18 @@ def moment_recursive(max_n, max_m, params):
         }
         return MomentTable(max_n, max_m, values)
 
-    dps = _working_digits(max_n, max_m, params)
-    d, b, t = params.delta, params.B, params.T
+    import mpmath as mp
 
-    def fill(r, bt, e_plus, e_minus, fact):
-        table = {}
-        table[(0, 0)] = r * (e_plus - e_minus)
+    with mp.workdps(_working_digits(max_n, max_m, params)):
+        r, bt, e_plus, e_minus = _mp_basis(params)
+        raw = {(0, 0): r * (e_plus - e_minus)}
         for n in range(1, max_n + 1):
-            table[(n, 0)] = r * (e_plus * bt**n / fact(n) - table[(n - 1, 0)])
+            raw[(n, 0)] = r * (e_plus * bt**n / factorial(n) - raw[(n - 1, 0)])
         for m in range(1, max_m + 1):
-            table[(0, m)] = r * (table[(0, m - 1)] - e_minus * bt**m / fact(m))
+            raw[(0, m)] = r * (raw[(0, m - 1)] - e_minus * bt**m / factorial(m))
         for n in range(1, max_n + 1):
             for m in range(1, max_m + 1):
-                table[(n, m)] = r * (table[(n, m - 1)] - table[(n - 1, m)])
-        return table
-
-    if dps is None:
-        raw = fill(b / d, b * t, exp(d * t / 2.0), exp(-d * t / 2.0), factorial)
-    else:
-        import mpmath as mp
-
-        with mp.workdps(dps):
-            dm, bm, tm = mp.mpf(d), mp.mpf(b), mp.mpf(t)
-            raw = fill(bm / dm, bm * tm, mp.exp(dm * tm / 2), mp.exp(-dm * tm / 2), mp.factorial)
+                raw[(n, m)] = r * (raw[(n, m - 1)] - raw[(n - 1, m)])
 
     pref = prefactor(params)
     values = {
@@ -513,8 +454,7 @@ def multi_instanton(i, params):
     """Full I(i, i): the (2i+1)-event well-to-well contribution.
 
     Kummer's series (moment_kummer) below |delta| T = 0.1, where the closed
-    form cancels; above it the closed form (escalating to mpmath where
-    float64 would cancel).  Neither loads numpy.
+    form cancels; above it the closed form, in mpmath.  Neither loads numpy.
     """
     index = _integral(i)
     if index is None:

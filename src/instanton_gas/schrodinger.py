@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .potential import PolynomialPotential, find_minima, well_parameters
 from .spectrum import extract_coupling
@@ -200,19 +200,11 @@ def lowest_eigenvalues(operator, count):
     return eigs.tolist()
 
 
-class GapEstimate(tuple):
-    """(gap, error_estimate) with named access."""
+class GapEstimate(NamedTuple):
+    """Doublet gap with its Richardson error estimate."""
 
-    def __new__(cls, gap, error_estimate):
-        return super().__new__(cls, (gap, error_estimate))
-
-    @property
-    def gap(self):
-        return self[0]
-
-    @property
-    def error_estimate(self):
-        return self[1]
+    gap: float
+    error_estimate: float
 
 
 def numeric_gap(potential, grid, min_boundary_potential=None):

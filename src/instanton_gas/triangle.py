@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, exp, factorial, isfinite, lcm, sqrt
 
+from .moments import _integral
 from .potential import ParameterError
 
 DEPTH_CAP = 24
@@ -170,14 +171,24 @@ def build_triangle(depth, ratio):
     return CoefficientTriangle(depth=depth, ratio=r, _plus=plus, _minus=minus)
 
 
+def _index(name, value):
+    index = _integral(value)
+    if index is None or index < 0:
+        raise TriangleParameterError(name, f"{name} must be a non-negative integer, got {value!r}")
+    return index
+
+
 def closed_form_coefficients(key, ratio):
     """Coefficient multiset of the path-counting closed form for one entry.
 
     The (BT)^i/i! ladder with binomials C(m+n-i, m) and signs (-1)^(n-i)
     sits on the e^(+dT/2) branch; the j-ladder with C(m+n-j, n) and sign
-    (-1)^(n+1) on the e^(-dT/2) branch.
+    (-1)^(n+1) on the e^(-dT/2) branch.  Integral indices of any type are
+    taken as ints; a negative or non-integral one raises
+    TriangleParameterError naming n or m.
     """
-    n, m = (key.n, key.m) if hasattr(key, "n") else (int(key[0]), int(key[1]))
+    n, m = (key.n, key.m) if hasattr(key, "n") else key
+    n, m = _index("n", n), _index("m", m)
     r = _as_ratio(ratio)
     out = [
         BasisCoefficient("+", i, comb(m + n - i, m) * (-1) ** (n - i) * r ** (n + m - i + 1))

@@ -3,9 +3,8 @@
 No command loads scipy.integrate: the quadrature oracle integrates by
 Gauss-Legendre in numpy, the gas sum needs no numpy at any asymmetry, and
 only the grid commands load scipy.linalg.  Every check runs in a fresh
-interpreter, because the pytest process itself has already imported
-scipy.integrate (pytest resolves the IntegrationWarning filter of
-pyproject.toml when it starts).
+interpreter, because the pytest process itself imports whatever the
+other test modules use.
 """
 
 import json

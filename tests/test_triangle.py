@@ -164,6 +164,18 @@ class TestClosedFormCoefficients:
         }
         assert {abs(w) for w in ladder.values()} == {3 * r**4, r**3}
 
+    @pytest.mark.parametrize("key, name", [
+        ((1.5, 2), "n"), ((1, 2.5), "m"), ((-1, 2), "n"), ((1, -2), "m"), (("1", 2), "n"), ((1, None), "m"),
+    ])
+    def test_bad_index_names_it(self, key, name):
+        with pytest.raises(TriangleParameterError, match=f"{name} must be a non-negative integer") as excinfo:
+            closed_form_coefficients(key, Fraction(2, 5))
+        assert excinfo.value.parameter == name
+
+    def test_integral_float_index(self):
+        r = Fraction(2, 5)
+        assert closed_form_coefficients((2.0, 1.0), r) == closed_form_coefficients((2, 1), r)
+
 
 class TestColumnSums:
     def test_relations_all_exact_at_depth_12(self):
