@@ -14,33 +14,10 @@ import argparse
 import json
 import sys
 from dataclasses import astuple, fields
-from fractions import Fraction
 
-from .moments import (
-    DEPTH_CAP,
-    MomentError,
-    MomentKey,
-    MomentKeyError,
-    moment_closed,
-    moment_quadrature,
-    moment_recursive,
-    moment_symmetric,
-)
-from .potential import ParameterError, PotentialError, WellParameters
-from .schrodinger import (
-    DEFAULT_GRID,
-    GridSpec,
-    SolverError,
-    benchmark_point,
-    scaling_study,
-)
-from .spectrum import (
-    SpectrumError,
-    energies,
-    gas_sum_closed,
-    gas_sum_partial,
-)
-from .triangle import TriangleError, build_triangle, verify_column_relations
+# Every command needs potential; each _run_* imports the other modules it
+# computes with, so that a command loads (and compiles) no module it does not run.
+from .potential import ComputationError, ParameterError, WellParameters
 
 FORMATS = ("csv", "json", "table")
 
@@ -58,6 +35,8 @@ class CliError(Exception):
 
 
 def _parse_ratio(text):
+    from fractions import Fraction
+
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise CliError(
@@ -104,13 +83,37 @@ def _table(pairs):
 _RECORD_HEADER = ("lambda", "s_inst", "omega0", "omega1", "gap_numeric", "b_prime", "refinement_error")
 
 
+def _grid(a):
+    """The grid of --x-min, --x-max and --points; an absent flag takes DEFAULT_GRID's value."""
+    from .schrodinger import DEFAULT_GRID, GridSpec
+
+    return GridSpec(
+        DEFAULT_GRID.x_min if a.x_min is None else a.x_min,
+        DEFAULT_GRID.x_max if a.x_max is None else a.x_max,
+        DEFAULT_GRID.points if a.points is None else a.points,
+    )
+
+
 def _run_spectrum(a):
+    from .spectrum import energies
+
     res = energies(_well_parameters(a))
     pairs = [(f.name, getattr(res, f.name)) for f in fields(res)]
     return dict(pairs), _csv([name for name, _ in pairs], [[v for _, v in pairs]]), _table(pairs)
 
 
 def _run_moments(a):
+    from .moments import (
+        DEPTH_CAP,
+        MomentError,
+        MomentKey,
+        MomentKeyError,
+        moment_closed,
+        moment_quadrature,
+        moment_recursive,
+        moment_symmetric,
+    )
+
     params = _well_parameters(a)
     n, m, method = a.n, a.m, a.method
     try:
@@ -153,6 +156,9 @@ def _run_moments(a):
 
 
 def _run_sum(a):
+    from .moments import DEPTH_CAP
+    from .spectrum import gas_sum_closed, gas_sum_partial
+
     params = _well_parameters(a)
     if not 1 <= a.terms <= DEPTH_CAP + 1:
         raise CliError("bad-value", f"terms must be from 1 to {DEPTH_CAP + 1}", "terms")
@@ -172,6 +178,8 @@ def _run_sum(a):
 
 
 def _run_triangle_verify(a):
+    from .triangle import build_triangle, verify_column_relations
+
     report = verify_column_relations(build_triangle(a.depth, _parse_ratio(a.ratio)))
     families = sorted(report.families.items())
     obj = {
@@ -190,7 +198,9 @@ def _run_triangle_verify(a):
 
 
 def _run_benchmark(a):
-    record, clamped = benchmark_point(a.lam, a.b, GridSpec(a.x_min, a.x_max, a.points))
+    from .schrodinger import benchmark_point
+
+    record, clamped = benchmark_point(a.lam, a.b, _grid(a))
     pairs = list(zip(_RECORD_HEADER, astuple(record)))
     obj = dict(pairs)
     obj["asymmetry_dominated"] = clamped
@@ -198,12 +208,13 @@ def _run_benchmark(a):
 
 
 def _run_scaling(a):
+    from .schrodinger import scaling_study
+
     try:
         lambdas = [float(tok) for tok in a.lambdas.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliError("bad-value", f"cannot parse lambdas: {exc}", "lambdas")
-    grid = GridSpec(a.x_min, a.x_max, a.points)
-    study = scaling_study(a.b, lambdas, K_hint=a.k_hint, grid=grid)
+    study = scaling_study(a.b, lambdas, K_hint=a.k_hint, grid=_grid(a))
     rows = [astuple(rec) for rec in study.records]
     obj = {
         "slope": study.slope,
@@ -261,10 +272,10 @@ def build_parser():
         sp.add_argument("--S-inst", dest="s_inst", type=float)
         sp.add_argument("--T", type=float)
 
-    def grid_flags(sp):
-        sp.add_argument("--points", type=int, default=DEFAULT_GRID.points)
-        sp.add_argument("--x-min", dest="x_min", type=float, default=DEFAULT_GRID.x_min)
-        sp.add_argument("--x-max", dest="x_max", type=float, default=DEFAULT_GRID.x_max)
+    def grid_flags(sp):  # absent flags default to DEFAULT_GRID, read by _grid
+        sp.add_argument("--points", type=int)
+        sp.add_argument("--x-min", dest="x_min", type=float)
+        sp.add_argument("--x-max", dest="x_max", type=float)
 
     sp = command("moments", _run_moments, "evaluate one overlap integral",
                  "n", "m", "omega0", "omega1", "T")
@@ -397,7 +408,7 @@ def main(argv=None):
         _report_error(exc, out_format)
         usage_codes = ("usage", "missing-parameter", "bad-value", "contradictory-parameters")
         return 2 if exc.code in usage_codes else 1
-    except (MomentError, PotentialError, SolverError, SpectrumError, TriangleError) as exc:
+    except ComputationError as exc:
         err = CliError(type(exc).__name__, str(exc))
         _report_error(err, out_format)
         return 1

@@ -40,13 +40,12 @@ cancels, and the series needs plain floats only.  No route loads scipy.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cache
 from math import comb, exp, factorial, frexp, ldexp, lgamma, log
 
-from .potential import ParameterError, WellParameters, _gauss_rule
+from .potential import ComputationError, ParameterError, WellParameters, _gauss_rule, _integral
 
 DEPTH_CAP = 64
 # Natural log of the largest float64.
@@ -75,7 +74,7 @@ _LN2_LO = 1.90821492927058770002e-10
 _METHODS = ("closed", "recursive", "quadrature", "kummer", "symmetric-limit")
 
 
-class MomentError(Exception):
+class MomentError(ComputationError):
     """Base error for moment evaluation."""
 
 
@@ -148,16 +147,6 @@ def quad(*args, **kwargs):
 def _require_b(params):
     if params.B is None:
         raise MomentParameterError("B", "params.B required")
-
-
-def _integral(value):
-    """value as an int when it is integral (2, 2.0, a numpy integer), else None."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        return None
 
 
 def _as_key(key):

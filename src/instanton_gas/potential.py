@@ -14,6 +14,7 @@ moments.moment_quadrature, are built on first use, so importing the module
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from math import exp, isfinite, sqrt
@@ -26,7 +27,15 @@ _CURVATURE_RTOL = 1e-6
 _LEVEL_RTOL = 1e-12
 
 
-class PotentialError(Exception):
+class ComputationError(Exception):
+    """A package computation failed: the base of each module's own error class.
+
+    The CLI catches this one class, so it can report a failure of any module
+    without importing the modules that its command never ran.
+    """
+
+
+class PotentialError(ComputationError):
     """Base error for potential analysis."""
 
 
@@ -52,6 +61,16 @@ class ParameterError(ValueError):
     def __init__(self, parameter, message):
         super().__init__(message)
         self.parameter = parameter
+
+
+def _integral(value):
+    """value as an int when it is integral (2, 2.0, a numpy integer), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        return None
 
 
 def _check_parameter(name, value, positive):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .potential import PolynomialPotential, find_minima, well_parameters
+from .potential import ComputationError, PolynomialPotential, find_minima, well_parameters
 from .spectrum import extract_coupling
 
 if TYPE_CHECKING:
@@ -46,7 +46,7 @@ MAX_POINTS = 1_000_001
 SPACING_RANGE = (1e-150, 1e150)
 
 
-class SolverError(Exception):
+class SolverError(ComputationError):
     """Base error for the grid solver."""
 
 
@@ -154,11 +154,12 @@ def discretize(potential, grid, min_boundary_potential=None):
 def sturm_count(operator, x):
     """Number of eigenvalues strictly below x (negative LDL pivots).
 
-    A pure-Python reference kept for the tests; the solver does not call
-    it.  Pivots inside the pivmin window are
-    clamped to -pivmin *before* counting, so an exactly singular leading
-    minor registers as a crossing; clamping only the divisor would silently
-    drop such eigenvalues.
+    A pure-Python reference that the solver does not call.  It stays
+    because the benchmark declares its span metrics in BENCHMARK.json and
+    perfbench/run.py reads its call count; it goes when they do.  Pivots
+    inside the pivmin window are clamped to -pivmin *before* counting, so
+    an exactly singular leading minor registers as a crossing; clamping
+    only the divisor would silently drop such eigenvalues.
     """
     diag = operator.diagonal.tolist()
     off_sq = operator.off_diagonal**2

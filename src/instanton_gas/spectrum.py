@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from math import exp, hypot, lgamma, log, sqrt
 from typing import NamedTuple
 
-from .moments import DEPTH_CAP, _integral, multi_instanton
-from .potential import ParameterError
+from .potential import ComputationError, ParameterError, _integral
 
 # Natural log of the smallest positive float64 (the least subnormal).
 _LOG_TINIEST = log(5e-324)
 
 
-class SpectrumError(ArithmeticError):
+class SpectrumError(ComputationError, ArithmeticError):
     """A spectrum quantity is not representable in float64, or fails its self-check."""
 
 
@@ -154,7 +153,7 @@ def _below_float64(i, params):
     return bound + (d / 2.0 - (params.omega0 + params.omega1) / 4.0) * t < _LOG_TINIEST
 
 
-def _term(i, params):
+def _term(i, params, multi_instanton):
     if params.B > 0.0 and _below_float64(i, params):
         return 0.0
     return multi_instanton(i, params).full
@@ -170,6 +169,12 @@ def gas_sum_partial(params, n_terms=None):
     without being evaluated, which keeps large T finite and fast.  Returns
     (sum, terms).
     """
+    # Imported here, once per sum: per term the import would cost
+    # microseconds, at module level every `spectrum` command would load
+    # moments, and a cached global would miss a later rebinding of
+    # moments.multi_instanton.
+    from .moments import DEPTH_CAP, multi_instanton
+
     _require_b(params)
     terms = []
     total = 0.0
@@ -184,12 +189,12 @@ def gas_sum_partial(params, n_terms=None):
                 "n_terms", f"n_terms must be <= {DEPTH_CAP + 1}: I(i, i) is capped at i = {DEPTH_CAP}"
             )
         for i in range(count):
-            t = _term(i, params)
+            t = _term(i, params, multi_instanton)
             terms.append(t)
             total += t
         return total, terms
     for i in range(64):
-        t = _term(i, params)
+        t = _term(i, params, multi_instanton)
         terms.append(t)
         total += t
         if abs(t) < 1e-16 * max(abs(total), 1e-300):

@@ -32,15 +32,14 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, exp, factorial, isfinite, lcm, sqrt
 
-from .moments import _integral
-from .potential import ParameterError
+from .potential import ComputationError, ParameterError, _integral
 
 DEPTH_CAP = 24
 
 _SIGNS = ("+", "-")
 
 
-class TriangleError(Exception):
+class TriangleError(ComputationError):
     """Base error for triangle construction and verification."""
 
 

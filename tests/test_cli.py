@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from instanton_gas import cli
+from instanton_gas import cli, moments, schrodinger, spectrum
 from instanton_gas.cli import main
 from instanton_gas.moments import multi_instanton
 from instanton_gas.potential import WellParameters
@@ -465,7 +465,7 @@ class TestBoundary:
         def no_array(grid):
             raise AssertionError("grid array built")
 
-        monkeypatch.setattr(cli.GridSpec, "array", no_array)
+        monkeypatch.setattr(schrodinger.GridSpec, "array", no_array)
         for points in ("2000000000", "600001"):  # the grid, or only its refinement, too large
             code, out, err = run_cli(capsys, "benchmark", "--lambda", "4", "--b", "0", "--points", points,
                                      "--format", "json")
@@ -537,7 +537,9 @@ class TestBoundary:
                                                      command, target):
         # argv cannot reach these errors, so the command's library call is replaced by one that
         # raises; on moments the error must not be reported as a failed evaluation (`numerical`)
-        monkeypatch.setattr(cli, target, lambda *args: fail(args[-1]))  # params is the last argument
+        # the command imports its library call from the defining module when it runs
+        module = {"energies": spectrum, "moment_closed": moments}[target]
+        monkeypatch.setattr(module, target, lambda *args: fail(args[-1]))  # params is the last argument
         argv = (*command, "--omega0", "1", "--omega1", "2", "--B", "0.3", "--T", "1")
         exit_code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert exit_code == 2 and err == ""

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from instanton_gas import spectrum
+from instanton_gas import moments
 from instanton_gas.moments import multi_instanton, sweep_grid
 from instanton_gas.potential import ParameterError, WellParameters
 from instanton_gas.spectrum import (
@@ -257,7 +257,7 @@ class TestParameterErrors:
         def no_terms(*args):
             raise AssertionError("a term was evaluated")
 
-        monkeypatch.setattr(spectrum, "multi_instanton", no_terms)
+        monkeypatch.setattr(moments, "multi_instanton", no_terms)
         with pytest.raises(SpectrumParameterError, match=message) as excinfo:
             gas_sum_partial(P_EXAMPLE, n_terms)
         self.check(excinfo, "n_terms")
