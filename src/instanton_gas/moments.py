@@ -35,6 +35,13 @@ series instead,
 with p = n for d >= 0 and p = m otherwise (DLMF 13.4.1, and Kummer's
 transformation 13.2.39 for d < 0): every term is positive, so nothing
 cancels, and the series needs plain floats only.  No route loads scipy.
+
+One predicate, _kummer_route, picks the route for multi_instanton and for
+spectrum.gas_sum_partial.  Below the threshold the gas sum reads every
+I(i, i) from _kummer_diagonal, which takes the logs, the mantissas of B
+and T, e^(-|d|T/2) and the prefactor once per sum and runs the series
+kernel that moment_kummer runs, _kummer_stripped, once per term; its terms
+are bit-identical to multi_instanton's.
 """
 
 from __future__ import annotations
@@ -43,13 +50,16 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from math import comb, exp, factorial, frexp, ldexp, lgamma, log
 
 from .potential import ComputationError, ParameterError, WellParameters, _gauss_rule, _integral
 
 DEPTH_CAP = 64
-# Natural log of the largest float64.
+# Natural log of the largest float64, and of the smallest positive one (the
+# least subnormal).
 _LOG_HUGEST = log(sys.float_info.max)
+_LOG_TINIEST = log(5e-324)
 # Decimal digits carried beyond the closed form's worst-case cancellation.
 _GUARD_DIGITS = 30
 _LN10 = math.log(10.0)
@@ -161,8 +171,24 @@ def prefactor(params):
     return exp(-(params.omega0 + params.omega1) * params.T / 4.0)
 
 
-def _log_stripped_lower(n, m, params):
-    """A lower bound of ln(stripped I(n, m)), for B > 0.
+def _bound_logs(params):
+    """The logs that _log_stripped_lower and _below_float64 read, for B > 0:
+    ln B, ln T, ln|d| (-inf at d = 0), max(0, |d|T/2 - 1), whether d < 0,
+    and ln(e^(|d|T/2) e^(-(w0+w1)T/4)).  B, T and |d| are taken apart by
+    their logs because B T, T/2 and B/d may underflow or overflow."""
+    d, t = params.delta, params.T
+    return (
+        log(params.B),
+        log(t),
+        log(abs(d)) if d != 0.0 else -math.inf,
+        max(0.0, abs(d) * t / 2.0 - 1.0),
+        d < 0.0,
+        (abs(d) / 2.0 - (params.omega0 + params.omega1) / 4.0) * t,
+    )
+
+
+def _log_stripped_lower(n, m, logs):
+    """A lower bound of ln(stripped I(n, m)), from _bound_logs.
 
     e^(d t) peaks at the end t = -sign(d) T/2, where the factor of index p
     (n for d < 0, m otherwise) vanishes.  On the stretch of length
@@ -170,16 +196,32 @@ def _log_stripped_lower(n, m, params):
     factor is at least (T/2)^q/q!, and the vanishing one integrates to
     L^(p+1)/(p+1)!.
     """
-    b, d, t = params.B, params.delta, params.T
-    p, q = (n, m) if d < 0.0 else (m, n)
-    log_half_t = log(t) - _LN2  # t / 2 itself may underflow to 0
-    log_stretch = log_half_t if d == 0.0 else min(log_half_t, -log(abs(d)))
+    log_b, log_t, log_d, excess, d_negative, _ = logs
+    p, q = (n, m) if d_negative else (m, n)
+    log_half_t = log_t - _LN2
+    log_stretch = min(log_half_t, -log_d)
     return (
-        (n + m + 1) * log(b)
-        + max(0.0, abs(d) * t / 2.0 - 1.0)
+        (n + m + 1) * log_b
+        + excess
         + q * log_half_t - lgamma(q + 1)
         + (p + 1) * log_stretch - lgamma(p + 2)
     )
+
+
+def _below_float64(i, logs):
+    """True when the full I(i, i) is certainly smaller than any float64.
+
+    With N = 2i+1 the stripped value is (BT)^N/N! e^(-dT/2) M(i+1, N+1, dT)
+    (DLMF 13.4.1), and M(a, b, z) <= e^max(z, 0) for b >= a > 0, so
+    ln I(i, i) <= N ln(BT) - ln N! + |d|T/2 - (w0+w1)T/4.  Bounding both
+    polynomial factors by T^i/i! and integrating e^(d t) alone gives the
+    other bound, N ln B + 2i ln T - 2 ln i! - ln|d| + |d|T/2 - (w0+w1)T/4,
+    the smaller one when |d| is large (and +inf at d = 0).
+    """
+    log_b, log_t, log_d, _, _, log_shift = logs
+    n = 2 * i + 1
+    bound = min(n * (log_b + log_t) - lgamma(n + 1), n * log_b + 2 * i * log_t - 2 * lgamma(i + 1) - log_d)
+    return bound + log_shift < _LOG_TINIEST
 
 
 def _working_digits(n, m, params):
@@ -192,12 +234,12 @@ def _working_digits(n, m, params):
     when the stripped I(n, m) certainly exceeds float64 (the digit count
     grows like |d| T).
     """
-    lower = _log_stripped_lower(n, m, params)
+    logs = _bound_logs(params)
+    lower = _log_stripped_lower(n, m, logs)
     if lower > _LOG_HUGEST:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64")
-    b, d, t = params.B, params.delta, params.T
-    log_ratio = log(b) - log(abs(d))  # B / d itself may underflow or overflow
-    log_bound = _LN2 + log(comb(n + m, n)) + (n + m + 1) * log_ratio + 1.5 * abs(d) * t
+    log_b, _, log_d, *_ = logs
+    log_bound = _LN2 + log(comb(n + m, n)) + (n + m + 1) * (log_b - log_d) + 1.5 * abs(params.delta) * params.T
     return math.ceil((log_bound - lower) / _LN10) + _GUARD_DIGITS
 
 
@@ -326,7 +368,7 @@ def moment_quadrature(key, params):
     _require_b(params)
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "quadrature")
-    if _log_stripped_lower(n, m, params) > _LOG_HUGEST:
+    if _log_stripped_lower(n, m, _bound_logs(params)) > _LOG_HUGEST:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64")
     import numpy as np
 
@@ -375,6 +417,37 @@ def moment_quadrature(key, params):
     return MomentValue(stripped, stripped * prefactor(params), "quadrature")
 
 
+def _kummer_route(params):
+    """True where multi_instanton sums Kummer's series: |delta| T < 0.1."""
+    return abs(params.delta) * params.T < _KUMMER_DT
+
+
+def _kummer_basis(params):
+    """z = |delta| T, whether delta < 0, frexp(B), frexp(T) and e^(-z/2)."""
+    z = abs(params.delta) * params.T
+    return (z, params.delta < 0.0, *frexp(params.B), *frexp(params.T), exp(-z / 2.0))
+
+
+def _kummer_stripped(n, m, basis):
+    """Stripped I(n, m) by Kummer's series, from _kummer_basis, for B > 0.
+
+    Raises MomentError when the result exceeds float64."""
+    z, d_negative, mb, eb, mt, et, e_half = basis
+    big_n = n + m + 1
+    a = (m if d_negative else n) + 1
+    term = series = 1.0
+    k = 0
+    while term > 1e-17 * series:
+        term *= (a + k) / (big_n + 1 + k) * z / (k + 1)
+        series += term
+        k += 1
+    mantissa = mb**big_n * mt**big_n / factorial(big_n) * (e_half * series)
+    try:
+        return ldexp(mantissa, big_n * (eb + et))
+    except OverflowError:
+        raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
+
+
 def moment_kummer(key, params):
     """Kummer-series evaluation of I(n, m) for |delta| T < 0.1; the route of
     multi_instanton there.
@@ -393,32 +466,39 @@ def moment_kummer(key, params):
     key = _as_key(key)
     n, m = key.n, key.m
     _require_b(params)
-    d, b, t = params.delta, params.B, params.T
-    z = abs(d) * t
-    if not z < _KUMMER_DT:
+    if not _kummer_route(params):
         raise MomentParameterError(
-            "delta", f"the Kummer series needs |delta| T < {_KUMMER_DT}, got {z!r}"
+            "delta", f"the Kummer series needs |delta| T < {_KUMMER_DT}, got {abs(params.delta) * params.T!r}"
         )
-    if b == 0.0:
+    if params.B == 0.0:
         return MomentValue(0.0, 0.0, "kummer")
-    if _log_stripped_lower(n, m, params) > _LOG_HUGEST:
+    if _log_stripped_lower(n, m, _bound_logs(params)) > _LOG_HUGEST:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64")
-    big_n = n + m + 1
-    a = (n if d >= 0.0 else m) + 1
-    term = series = 1.0
-    k = 0
-    while term > 1e-17 * series:
-        term *= (a + k) / (big_n + 1 + k) * z / (k + 1)
-        series += term
-        k += 1
-    mb, eb = frexp(b)
-    mt, et = frexp(t)
-    mantissa = mb**big_n * mt**big_n / factorial(big_n) * (exp(-z / 2.0) * series)
-    try:
-        stripped = ldexp(mantissa, big_n * (eb + et))
-    except OverflowError:
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
+    stripped = _kummer_stripped(n, m, _kummer_basis(params))
     return MomentValue(stripped, stripped * prefactor(params), "kummer")
+
+
+def _kummer_diagonal(params):
+    """Full I(i, i) for i = 0, 1, ..., DEPTH_CAP in one pass, for |delta| T < 0.1.
+
+    Each value is multi_instanton(i, params).full, except that a term for
+    which _below_float64 holds is 0.0 without being evaluated.  The logs,
+    mantissas, e^(-z/2) and the prefactor are taken once per sum; per term
+    only the two bounds and the series are evaluated.  A generator, so that
+    a caller that stops early evaluates no further term; it raises
+    MomentError at the first term whose stripped value exceeds float64.
+    """
+    if params.B == 0.0:
+        yield from repeat(0.0, DEPTH_CAP + 1)
+        return
+    logs, basis, pref = _bound_logs(params), _kummer_basis(params), prefactor(params)
+    for i in range(DEPTH_CAP + 1):
+        if _below_float64(i, logs):
+            yield 0.0
+            continue
+        if _log_stripped_lower(i, i, logs) > _LOG_HUGEST:
+            raise MomentError(f"stripped I({i}, {i}) exceeds float64")
+        yield _kummer_stripped(i, i, basis) * pref
 
 
 def moment_symmetric(key, B, T, omega):
@@ -442,8 +522,11 @@ def moment_symmetric(key, B, T, omega):
 def multi_instanton(i, params):
     """Full I(i, i): the (2i+1)-event well-to-well contribution.
 
-    Kummer's series (moment_kummer) below |delta| T = 0.1, where the closed
-    form cancels; above it the closed form, in mpmath.  Neither loads numpy.
+    Kummer's series (moment_kummer) below |delta| T = 0.1 (_kummer_route),
+    where the closed form cancels; above it the closed form, in mpmath.
+    Neither loads numpy.  spectrum.gas_sum_partial takes the route by the
+    same predicate, once per sum; below the threshold it reads every term
+    from _kummer_diagonal, which gives this function's values in one pass.
     """
     index = _integral(i)
     if index is None:
@@ -451,7 +534,7 @@ def multi_instanton(i, params):
     if index < 0:
         raise MomentParameterError("i", "i must be >= 0")
     _require_b(params)
-    if abs(params.delta) * params.T < _KUMMER_DT:
+    if _kummer_route(params):
         return moment_kummer(MomentKey(index, index), params)
     return moment_closed(MomentKey(index, index), params)
 

@@ -17,13 +17,11 @@ bare level offset |d| when tunneling is negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, hypot, lgamma, log, sqrt
+from itertools import islice
+from math import exp, hypot, sqrt
 from typing import NamedTuple
 
 from .potential import ComputationError, ParameterError, _integral
-
-# Natural log of the smallest positive float64 (the least subnormal).
-_LOG_TINIEST = log(5e-324)
 
 
 class SpectrumError(ComputationError, ArithmeticError):
@@ -135,28 +133,19 @@ def gas_sum_closed(params):
     return c * (grow - exp(-res.e_minus * params.T))
 
 
-def _below_float64(i, params):
-    """True when the full I(i, i) is certainly smaller than any float64.
-
-    With N = 2i+1 the stripped value is (BT)^N/N! e^(-dT/2) M(i+1, N+1, dT)
-    (DLMF 13.4.1), and M(a, b, z) <= e^max(z, 0) for b >= a > 0, so
-    ln I(i, i) <= N ln(BT) - ln N! + |d|T/2 - (w0+w1)T/4.  Bounding both
-    polynomial factors by T^i/i! and integrating e^(d t) alone gives the
-    other bound, N ln B + 2i ln T - 2 ln i! - ln|d| + |d|T/2 - (w0+w1)T/4,
-    the smaller one when |d| is large.
-    """
-    n, t, d = 2 * i + 1, params.T, abs(params.delta)
-    log_b, log_t = log(params.B), log(t)  # B T itself may underflow
-    bound = n * (log_b + log_t) - lgamma(n + 1)
-    if d > 0.0:
-        bound = min(bound, n * log_b + 2 * i * log_t - 2 * lgamma(i + 1) - log(d))
-    return bound + (d / 2.0 - (params.omega0 + params.omega1) / 4.0) * t < _LOG_TINIEST
-
-
-def _term(i, params, multi_instanton):
-    if params.B > 0.0 and _below_float64(i, params):
-        return 0.0
-    return multi_instanton(i, params).full
+def _closed_terms(params, moments):
+    """Full I(i, i) for i = 0, 1, ..., DEPTH_CAP where |d| T >= 0.1: one
+    moments.multi_instanton call per term, except that a term for which
+    moments._below_float64 holds is 0.0 without being evaluated."""
+    # Looked up once per sum, when the sum starts, so that a rebinding of
+    # moments.multi_instanton (the benchmark's tracer makes one) is seen.
+    multi_instanton = moments.multi_instanton
+    logs = moments._bound_logs(params) if params.B > 0.0 else None
+    for i in range(moments.DEPTH_CAP + 1):
+        if logs is not None and moments._below_float64(i, logs):
+            yield 0.0
+        else:
+            yield multi_instanton(i, params).full
 
 
 def gas_sum_partial(params, n_terms=None):
@@ -166,38 +155,40 @@ def gas_sum_partial(params, n_terms=None):
     many terms are evaluated; otherwise accumulation stops once a term
     contributes less than 1e-16 relative or at 64 terms, whichever comes
     first.  A term whose bound lies below the smallest float64 is 0.0
-    without being evaluated, which keeps large T finite and fast.  Returns
-    (sum, terms).
+    without being evaluated, which keeps large T finite and fast.  The
+    route is taken once per sum, by the predicate multi_instanton uses:
+    below |d| T = 0.1 every term comes from moments._kummer_diagonal, one
+    pass of Kummer's series; above it each term is a multi_instanton call.
+    Either way each term that is not skipped is bit-identical to
+    multi_instanton(i, params).full.  Returns (sum, terms).
     """
-    # Imported here, once per sum: per term the import would cost
-    # microseconds, at module level every `spectrum` command would load
-    # moments, and a cached global would miss a later rebinding of
-    # moments.multi_instanton.
-    from .moments import DEPTH_CAP, multi_instanton
+    # Imported here, once per sum: at module level every `spectrum` command
+    # would load moments.
+    from . import moments
 
     _require_b(params)
-    terms = []
-    total = 0.0
+    count = 64
     if n_terms is not None:
         count = _integral(n_terms)
         if count is None:
             raise SpectrumParameterError("n_terms", f"n_terms must be an integer, got {n_terms!r}")
         if count < 1:
             raise SpectrumParameterError("n_terms", "n_terms must be >= 1")
-        if count > DEPTH_CAP + 1:
+        if count > moments.DEPTH_CAP + 1:
             raise SpectrumParameterError(
-                "n_terms", f"n_terms must be <= {DEPTH_CAP + 1}: I(i, i) is capped at i = {DEPTH_CAP}"
+                "n_terms",
+                f"n_terms must be <= {moments.DEPTH_CAP + 1}: I(i, i) is capped at i = {moments.DEPTH_CAP}",
             )
-        for i in range(count):
-            t = _term(i, params, multi_instanton)
-            terms.append(t)
-            total += t
-        return total, terms
-    for i in range(64):
-        t = _term(i, params, multi_instanton)
+    if moments._kummer_route(params):
+        source = moments._kummer_diagonal(params)
+    else:
+        source = _closed_terms(params, moments)
+    terms = []
+    total = 0.0
+    for t in islice(source, count):
         terms.append(t)
         total += t
-        if abs(t) < 1e-16 * max(abs(total), 1e-300):
+        if n_terms is None and abs(t) < 1e-16 * max(abs(total), 1e-300):
             break
     return total, terms
 

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from instanton_gas import moments
 from instanton_gas.moments import multi_instanton, sweep_grid
@@ -19,6 +20,8 @@ from instanton_gas.spectrum import (
 )
 
 P_EXAMPLE = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=0.3)
+# |d| T = 1.5e-5: every term of the sum is a Kummer series
+P_NEAR = WellParameters(omega0=2.00001, omega1=2.0, T=3.0, B=0.5)
 
 
 class TestEnergies:
@@ -153,6 +156,72 @@ class TestGasSum:
                 assert abs(terms[i + 1]) < abs(terms[i])
 
 
+def per_term_sum(params, n_terms=None):
+    """gas_sum_partial's (total, terms) from one multi_instanton call per term, in order."""
+    logs = moments._bound_logs(params) if params.B > 0.0 else None
+    total, terms = 0.0, []
+    for i in range(64 if n_terms is None else n_terms):
+        below = logs is not None and moments._below_float64(i, logs)
+        t = 0.0 if below else multi_instanton(i, params).full
+        terms.append(t)
+        total += t
+        if n_terms is None and abs(t) < 1e-16 * max(abs(total), 1e-300):
+            break
+    return total, terms
+
+
+@st.composite
+def near_symmetric_params(draw):
+    """|d| T in [0, 0.1) with d of either sign or 0, B in [0, 2], T in [1e-3, 1e4].
+
+    Every other draw is a shallow pair of wells (omega < 0.02) at large B T,
+    where the prefactor no longer hides that I(i, i) exceeds float64."""
+    if draw(st.booleans()):
+        omega1 = 10.0 ** draw(st.floats(-3.0, 0.6))
+        t = 10.0 ** draw(st.floats(-3.0, 4.0))
+        b = draw(st.floats(0.0, 2.0))
+    else:
+        omega1 = draw(st.floats(1e-3, 0.02))
+        t = draw(st.floats(6e3, 1e4))
+        b = draw(st.floats(1.5, 2.0))
+    z = 0.1 * 10.0 ** -draw(st.floats(0.0, 8.0, exclude_min=True))
+    delta = draw(st.sampled_from((-1.0, 0.0, 1.0))) * z / t
+    assume(omega1 + 2.0 * delta > 0.0)
+    params = WellParameters(omega0=omega1 + 2.0 * delta, omega1=omega1, T=t, B=b)
+    assume(abs(params.delta) * params.T < 0.1)
+    return params
+
+
+# delta = 1/8 exactly, so |d| T is 0.8/8: the float 0.1 itself, or the one below it
+_BELOW_THRESHOLD = WellParameters(omega0=1.25, omega1=1.0, T=math.nextafter(0.8, 0.0), B=0.5)
+_AT_THRESHOLD = WellParameters(omega0=1.25, omega1=1.0, T=0.8, B=0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=near_symmetric_params(), n_terms=st.one_of(st.none(), st.integers(1, 65)))
+@example(params=_BELOW_THRESHOLD, n_terms=65)
+@example(params=_BELOW_THRESHOLD, n_terms=None)
+@example(params=WellParameters(omega0=1.0, omega1=1.25, T=math.nextafter(0.8, 0.0), B=0.5), n_terms=65)
+@example(params=_AT_THRESHOLD, n_terms=65)
+@example(params=_AT_THRESHOLD, n_terms=None)
+@example(params=P_NEAR, n_terms=40)
+@example(params=WellParameters(omega0=2.0, omega1=2.0, T=1e4, B=0.5), n_terms=65)  # every term skipped
+@example(params=WellParameters(omega0=1e-3, omega1=1e-3, T=1e4, B=2.0), n_terms=65)  # I(i, i) overflows
+@example(params=WellParameters(omega0=1e-3, omega1=1e-3, T=1e4, B=2.0), n_terms=None)
+@example(params=WellParameters(omega0=1.0, omega1=1.0, T=3.0, B=0.0), n_terms=65)
+def test_one_pass_sum_is_the_per_term_route(params, n_terms):
+    try:
+        expected = per_term_sum(params, n_terms)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            gas_sum_partial(params, n_terms)
+        assert type(excinfo.value) is type(exc) and str(excinfo.value) == str(exc)
+        return
+    total, terms = gas_sum_partial(params, n_terms)
+    assert [t.hex() for t in terms] == [t.hex() for t in expected[1]]
+    assert total.hex() == expected[0].hex()
+
+
 class TestTruncatedHamiltonian:
     def test_reference_eigenvalues(self):
         # characteristic polynomial of [[0.5, 0.3], [0.3, 1.0]] by hand
@@ -258,9 +327,11 @@ class TestParameterErrors:
             raise AssertionError("a term was evaluated")
 
         monkeypatch.setattr(moments, "multi_instanton", no_terms)
-        with pytest.raises(SpectrumParameterError, match=message) as excinfo:
-            gas_sum_partial(P_EXAMPLE, n_terms)
-        self.check(excinfo, "n_terms")
+        monkeypatch.setattr(moments, "_kummer_diagonal", no_terms)
+        for params in (P_EXAMPLE, P_NEAR):  # the closed and the Kummer route
+            with pytest.raises(SpectrumParameterError, match=message) as excinfo:
+                gas_sum_partial(params, n_terms)
+            self.check(excinfo, "n_terms")
 
     def test_n_terms_at_the_cap_and_integral_floats(self):
         assert len(gas_sum_partial(P_EXAMPLE, 65)[1]) == 65

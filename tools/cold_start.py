@@ -33,6 +33,8 @@ COMMANDS = (
     ("spectrum", ("spectrum", *_WELL), 0),
     ("spectrum edge (omega1 < 0)", ("spectrum", "--omega0", "1", "--omega1", "-2", "--B", "0.3"), 2),
     ("sum --terms 40", ("sum", *_WELL, "--T", "2", "--terms", "40"), 0),
+    ("sum near-symmetric --terms 40",
+     ("sum", "--omega0", "2.00001", "--omega1", "2", "--B", "0.5", "--T", "3", "--terms", "40"), 0),
     ("moments --method all", ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"), 0),
     ("triangle-verify --depth 18", ("triangle-verify", "--depth", "18", "--ratio", "2/5"), 0),
     ("benchmark", ("benchmark", "--lambda", "4", "--b", "0.5"), 0),
