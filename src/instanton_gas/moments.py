@@ -36,12 +36,12 @@ with p = n for d >= 0 and p = m otherwise (DLMF 13.4.1, and Kummer's
 transformation 13.2.39 for d < 0): every term is positive, so nothing
 cancels, and the series needs plain floats only.  No route loads scipy.
 
-One predicate, _kummer_route, picks the route for multi_instanton and for
-spectrum.gas_sum_partial.  Below the threshold the gas sum reads every
-I(i, i) from _kummer_diagonal, which takes the logs, the mantissas of B
-and T, e^(-|d|T/2) and the prefactor once per sum and runs the series
-kernel that moment_kummer runs, _kummer_stripped, once per term; its terms
-are bit-identical to multi_instanton's.
+Every route forms the full value, stripped e^(-(w0+w1)T/4), by _damped,
+which scales the mantissa instead where that factor is subnormal or 0.
+The gas sum's terms come from _diagonal alone: it takes the route once,
+by _kummer_route, skips terms below float64, and below the threshold runs
+the Kummer kernel, _kummer_stripped, with the per-sum invariants taken
+once; its terms are bit-identical to multi_instanton's.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 from math import comb, exp, factorial, frexp, ldexp, lgamma, log
 
 from .potential import ComputationError, ParameterError, WellParameters, _gauss_rule, _integral
@@ -60,6 +59,8 @@ DEPTH_CAP = 64
 # least subnormal).
 _LOG_HUGEST = log(sys.float_info.max)
 _LOG_TINIEST = log(5e-324)
+# x beyond which any float64 times e^(-x) rounds to 0.
+_DAMPED_TO_ZERO = _LOG_HUGEST - _LOG_TINIEST + 1.0
 # Decimal digits carried beyond the closed form's worst-case cancellation.
 _GUARD_DIGITS = 30
 _LN10 = math.log(10.0)
@@ -166,9 +167,30 @@ def _as_key(key):
     return MomentKey(n, m)
 
 
+def _decay(params):
+    """(w0+w1)T/4, the exponent of the common prefactor."""
+    return (params.omega0 + params.omega1) * params.T / 4.0
+
+
 def prefactor(params):
     """Common damping factor e^(-(w0+w1)T/4)."""
-    return exp(-(params.omega0 + params.omega1) * params.T / 4.0)
+    return exp(-_decay(params))
+
+
+def _damped(stripped, x):
+    """stripped e^(-x) for x >= 0: a full value from its stripped one.
+
+    Where e^(-x) is a normal float this is the product with it.  Beyond
+    x = 708.4 that factor is subnormal or 0 and has lost digits, so the
+    mantissa of stripped is scaled by e^(-(x - k ln 2)) instead, and ldexp
+    applies the power of two last.
+    """
+    factor = exp(-x)
+    if factor >= sys.float_info.min or x > _DAMPED_TO_ZERO:
+        return stripped * factor
+    k = round(x / _LN2)
+    mantissa, exponent = frexp(stripped)
+    return ldexp(mantissa * exp((k * _LN2_HI - x) + k * _LN2_LO), exponent - k)
 
 
 def _bound_logs(params):
@@ -272,7 +294,7 @@ def moment_closed(key, params):
         for j in range(m + 1):
             acc += e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
         stripped = float(acc)
-    return MomentValue(stripped, stripped * prefactor(params), "closed")
+    return MomentValue(stripped, _damped(stripped, _decay(params)), "closed")
 
 
 @dataclass(frozen=True)
@@ -323,10 +345,8 @@ def moment_recursive(max_n, max_m, params):
             for m in range(1, max_m + 1):
                 raw[(n, m)] = r * (raw[(n, m - 1)] - raw[(n - 1, m)])
 
-    pref = prefactor(params)
-    values = {
-        nm: MomentValue(float(v), float(v) * pref, "recursive") for nm, v in raw.items()
-    }
+    x = _decay(params)
+    values = {nm: MomentValue(float(v), _damped(float(v), x), "recursive") for nm, v in raw.items()}
     return MomentTable(max_n, max_m, values)
 
 
@@ -414,7 +434,7 @@ def moment_quadrature(key, params):
         stripped = ldexp(float(mantissa), big_n * (eb + eh) + k + int(ej))
     except OverflowError:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
-    return MomentValue(stripped, stripped * prefactor(params), "quadrature")
+    return MomentValue(stripped, _damped(stripped, _decay(params)), "quadrature")
 
 
 def _kummer_route(params):
@@ -429,9 +449,11 @@ def _kummer_basis(params):
 
 
 def _kummer_stripped(n, m, basis):
-    """Stripped I(n, m) by Kummer's series, from _kummer_basis, for B > 0.
+    """Stripped I(n, m) by Kummer's series, from _kummer_basis.
 
-    Raises MomentError when the result exceeds float64."""
+    Raises MomentError when the result exceeds float64, from the ldexp: for
+    N <= 129 the mantissa lies in [8.8e-297, e^0.05], so nothing before it
+    underflows or overflows."""
     z, d_negative, mb, eb, mt, et, e_half = basis
     big_n = n + m + 1
     a = (m if d_negative else n) + 1
@@ -472,33 +494,8 @@ def moment_kummer(key, params):
         )
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "kummer")
-    if _log_stripped_lower(n, m, _bound_logs(params)) > _LOG_HUGEST:
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
     stripped = _kummer_stripped(n, m, _kummer_basis(params))
-    return MomentValue(stripped, stripped * prefactor(params), "kummer")
-
-
-def _kummer_diagonal(params):
-    """Full I(i, i) for i = 0, 1, ..., DEPTH_CAP in one pass, for |delta| T < 0.1.
-
-    Each value is multi_instanton(i, params).full, except that a term for
-    which _below_float64 holds is 0.0 without being evaluated.  The logs,
-    mantissas, e^(-z/2) and the prefactor are taken once per sum; per term
-    only the two bounds and the series are evaluated.  A generator, so that
-    a caller that stops early evaluates no further term; it raises
-    MomentError at the first term whose stripped value exceeds float64.
-    """
-    if params.B == 0.0:
-        yield from repeat(0.0, DEPTH_CAP + 1)
-        return
-    logs, basis, pref = _bound_logs(params), _kummer_basis(params), prefactor(params)
-    for i in range(DEPTH_CAP + 1):
-        if _below_float64(i, logs):
-            yield 0.0
-            continue
-        if _log_stripped_lower(i, i, logs) > _LOG_HUGEST:
-            raise MomentError(f"stripped I({i}, {i}) exceeds float64")
-        yield _kummer_stripped(i, i, basis) * pref
+    return MomentValue(stripped, _damped(stripped, _decay(params)), "kummer")
 
 
 def moment_symmetric(key, B, T, omega):
@@ -516,7 +513,7 @@ def moment_symmetric(key, B, T, omega):
         stripped = math.inf
     if not math.isfinite(stripped):
         raise MomentError(f"stripped I({n}, {m}) exceeds float64")
-    return MomentValue(stripped, stripped * exp(-omega * T / 2.0), "symmetric-limit")
+    return MomentValue(stripped, _damped(stripped, omega * T / 2.0), "symmetric-limit")
 
 
 def multi_instanton(i, params):
@@ -524,9 +521,7 @@ def multi_instanton(i, params):
 
     Kummer's series (moment_kummer) below |delta| T = 0.1 (_kummer_route),
     where the closed form cancels; above it the closed form, in mpmath.
-    Neither loads numpy.  spectrum.gas_sum_partial takes the route by the
-    same predicate, once per sum; below the threshold it reads every term
-    from _kummer_diagonal, which gives this function's values in one pass.
+    Neither loads numpy.  The gas sum reads its terms from _diagonal.
     """
     index = _integral(i)
     if index is None:
@@ -537,6 +532,31 @@ def multi_instanton(i, params):
     if _kummer_route(params):
         return moment_kummer(MomentKey(index, index), params)
     return moment_closed(MomentKey(index, index), params)
+
+
+def _diagonal(params):
+    """Full I(i, i) for i = 0, 1, ..., DEPTH_CAP: the terms of the gas sum.
+
+    The route is taken once, by _kummer_route.  A term for which
+    _below_float64 holds is 0.0 without being evaluated; every other term
+    is multi_instanton(i, params).full, bit for bit.  Below the threshold
+    the Kummer basis and the decay are taken once per sum and each term
+    runs _kummer_stripped; above it each term is a call of the module's
+    multi_instanton, so that a rebinding of it (the benchmark's tracer
+    makes one) is seen.  A caller that stops early evaluates no further
+    term; MomentError is raised at the first term that exceeds float64.
+    """
+    logs = _bound_logs(params) if params.B > 0.0 else None
+    kummer = _kummer_route(params)
+    if kummer:
+        basis, x = _kummer_basis(params), _decay(params)
+    for i in range(DEPTH_CAP + 1):
+        if logs is not None and _below_float64(i, logs):
+            yield 0.0
+        elif kummer:
+            yield _damped(_kummer_stripped(i, i, basis), x)
+        else:
+            yield multi_instanton(i, params).full
 
 
 def sweep_grid():

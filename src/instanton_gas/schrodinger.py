@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .potential import ComputationError, PolynomialPotential, find_minima, well_parameters
+from .potential import ComputationError, ParameterError, PolynomialPotential, find_minima, well_parameters
 from .spectrum import extract_coupling
 
 if TYPE_CHECKING:
@@ -293,15 +293,18 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
     gap are computed and the coupling extracted; points whose extraction is
     clamped or fails the regime guard (gap^2 - d^2 must exceed 10x its
     numerical uncertainty) are excluded and reported.  The remaining points
-    (at least 3) are fitted by least squares.  With K_hint given, the gap
-    predicted by the splitting formula at that prefactor is attached per
-    record as `predicted_gaps`.
+    (at least 3) are fitted by least squares; the lambdas must be strictly
+    ascending.  With K_hint given (finite and >= 0), the gap predicted by
+    the splitting formula at that prefactor is attached per record as
+    `predicted_gaps`.
     """
     import numpy as np
 
     lambdas = [float(v) for v in lambdas]
-    if lambdas != sorted(lambdas):
-        raise SolverError("lambdas must be ascending")
+    if any(lo >= hi for lo, hi in zip(lambdas, lambdas[1:])):
+        raise SolverError("lambdas must be strictly ascending")
+    if K_hint is not None and not (isfinite(K_hint) and K_hint >= 0.0):
+        raise ParameterError("k_hint", f"K_hint must be finite and >= 0, got {K_hint!r}")
     grid = grid or DEFAULT_GRID
     results = [benchmark_point(lam, b, grid) for lam in lambdas]
 

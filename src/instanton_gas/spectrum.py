@@ -133,63 +133,34 @@ def gas_sum_closed(params):
     return c * (grow - exp(-res.e_minus * params.T))
 
 
-def _closed_terms(params, moments):
-    """Full I(i, i) for i = 0, 1, ..., DEPTH_CAP where |d| T >= 0.1: one
-    moments.multi_instanton call per term, except that a term for which
-    moments._below_float64 holds is 0.0 without being evaluated."""
-    # Looked up once per sum, when the sum starts, so that a rebinding of
-    # moments.multi_instanton (the benchmark's tracer makes one) is seen.
-    multi_instanton = moments.multi_instanton
-    logs = moments._bound_logs(params) if params.B > 0.0 else None
-    for i in range(moments.DEPTH_CAP + 1):
-        if logs is not None and moments._below_float64(i, logs):
-            yield 0.0
-        else:
-            yield multi_instanton(i, params).full
+def gas_sum_partial(params, n_terms):
+    """Partial sum of the multi-event contributions M_i = I(i, i), i < n_terms.
 
-
-def gas_sum_partial(params, n_terms=None):
-    """Partial sums of the multi-event contributions M_i = I(i, i).
-
-    With n_terms given (an integer from 1 to DEPTH_CAP + 1), exactly that
-    many terms are evaluated; otherwise accumulation stops once a term
-    contributes less than 1e-16 relative or at 64 terms, whichever comes
-    first.  A term whose bound lies below the smallest float64 is 0.0
-    without being evaluated, which keeps large T finite and fast.  The
-    route is taken once per sum, by the predicate multi_instanton uses:
-    below |d| T = 0.1 every term comes from moments._kummer_diagonal, one
-    pass of Kummer's series; above it each term is a multi_instanton call.
-    Either way each term that is not skipped is bit-identical to
-    multi_instanton(i, params).full.  Returns (sum, terms).
+    n_terms, an integer from 1 to DEPTH_CAP + 1, is checked before any term
+    is evaluated.  The terms are moments._diagonal's: each is
+    multi_instanton(i, params).full, bit for bit, or 0.0 where a bound puts
+    it below the smallest float64, which keeps large T finite and fast.
+    Returns (sum, terms).
     """
     # Imported here, once per sum: at module level every `spectrum` command
     # would load moments.
     from . import moments
 
     _require_b(params)
-    count = 64
-    if n_terms is not None:
-        count = _integral(n_terms)
-        if count is None:
-            raise SpectrumParameterError("n_terms", f"n_terms must be an integer, got {n_terms!r}")
-        if count < 1:
-            raise SpectrumParameterError("n_terms", "n_terms must be >= 1")
-        if count > moments.DEPTH_CAP + 1:
-            raise SpectrumParameterError(
-                "n_terms",
-                f"n_terms must be <= {moments.DEPTH_CAP + 1}: I(i, i) is capped at i = {moments.DEPTH_CAP}",
-            )
-    if moments._kummer_route(params):
-        source = moments._kummer_diagonal(params)
-    else:
-        source = _closed_terms(params, moments)
-    terms = []
+    count = _integral(n_terms)
+    if count is None:
+        raise SpectrumParameterError("n_terms", f"n_terms must be an integer, got {n_terms!r}")
+    if count < 1:
+        raise SpectrumParameterError("n_terms", "n_terms must be >= 1")
+    if count > moments.DEPTH_CAP + 1:
+        raise SpectrumParameterError(
+            "n_terms",
+            f"n_terms must be <= {moments.DEPTH_CAP + 1}: I(i, i) is capped at i = {moments.DEPTH_CAP}",
+        )
+    terms = list(islice(moments._diagonal(params), count))
     total = 0.0
-    for t in islice(source, count):
-        terms.append(t)
+    for t in terms:
         total += t
-        if n_terms is None and abs(t) < 1e-16 * max(abs(total), 1e-300):
-            break
     return total, terms
 
 

@@ -145,6 +145,21 @@ class TestMomentsCommand:
         else:
             assert strict_json(out)["rows"][0]["stripped"] == 0.0
 
+    # e^(-(w0+w1)T/4) is subnormal at T = 692 and 0 at T = 700; the references
+    # are I(64, 64) of the same float inputs at 50 digits (mpmath hyp1f1)
+    @pytest.mark.parametrize("method", ["closed", "recursive", "quadrature", "all"])
+    @pytest.mark.parametrize("T, reference", [("692", 6.0290207619688308e-171), ("700", 6.0328927065266849e-174)])
+    def test_full_value_beyond_a_normal_prefactor(self, capsys, method, T, reference):
+        code, out, _ = run_cli(
+            capsys, "moments", "--n", "64", "--m", "64", "--omega0", "2", "--omega1", "2.3",
+            "--B", "1", "--T", T, "--method", method, "--format", "json",
+        )
+        assert code == 0
+        rows = strict_json(out)["rows"]
+        assert len(rows) == (3 if method == "all" else 1)
+        for row in rows:
+            assert row["full"] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
     def test_depth_beyond_cap_is_error_object(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--n", "70", "--m", "3", "--omega0", "2",
@@ -218,6 +233,16 @@ class TestSumCommand:
         assert data["partial"] == pytest.approx(data["closed"], rel=1e-12)
         assert len(data["terms"]) == 25
 
+    def test_last_term_beyond_a_normal_prefactor(self, capsys):
+        # e^(-(w0+w1)T/4) = e^-1000 is 0 in float64; the reference is
+        # (B T)^129 / 129! e^-1000 at 50 digits
+        code, out, _ = run_cli(
+            capsys, "sum", "--omega0", "2", "--omega1", "2", "--B", "1", "--T", "1000",
+            "--terms", "65", "--format", "json",
+        )
+        assert code == 0
+        assert strict_json(out)["terms"][64] == pytest.approx(1.0203949319439205e-265, rel=1e-12, abs=0.0)
+
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(
             capsys, "sum", "--omega0", "1", "--omega1", "2", "--B", "0.3",
@@ -259,6 +284,20 @@ class TestBenchmarkCommands:
         assert code == 1
         err = json.loads(out)
         assert err["code"] == "ScalingError"
+
+    @pytest.mark.parametrize("lambdas", ["16,16,16", "16,16,32", "25,20,16"])
+    def test_scaling_lambdas_must_strictly_ascend(self, capsys, lambdas):
+        code, out, _ = run_cli(capsys, "scaling", "--b", "0", "--lambdas", lambdas, "--format", "json")
+        err = assert_error_object(code, out)
+        assert code == 1 and err["code"] == "SolverError" and "strictly ascending" in err["message"]
+
+    @pytest.mark.parametrize("k_hint", ["-1", "nan", "inf"])
+    def test_scaling_k_hint_must_be_finite_and_non_negative(self, capsys, k_hint):
+        code, out, _ = run_cli(
+            capsys, "scaling", "--b", "0", "--lambdas", "16,20,25", "--K-hint", k_hint, "--format", "json",
+        )
+        err = assert_error_object(code, out, "k_hint")
+        assert code == 2 and err["code"] == "bad-value"
 
     def test_scaling_json_summary(self, capsys):
         code, out, _ = run_cli(

@@ -245,7 +245,7 @@ class TestKummer:
         params = WellParameters(omega0=1.0, omega1=1.0 + 1e-3, T=2.0, B=0.0)
         assert moment_kummer((3, 2), params) == MomentValue(0.0, 0.0, "kummer")
 
-    # refused by the a-priori bound, found on scaling the mantissa, and either at N = 129
+    # a huge T, a huge B, and B T = 2e4 at N = 129: each raised by the kernel's ldexp
     @pytest.mark.parametrize("key, T, B", [((3, 3), 1e300, 0.5), ((0, 0), 2.0, 1e308), ((64, 64), 2.0, 1e4)])
     def test_beyond_float64_is_moment_error(self, key, T, B):
         params = WellParameters(omega0=1.0, omega1=1.0, T=T, B=B)
@@ -323,6 +323,18 @@ class TestSymmetric:
     def test_beyond_float64_is_moment_error(self, key, T):
         with pytest.raises(MomentError, match="exceeds float64"):
             moment_symmetric(key, B=1e308, T=T, omega=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stripped=st.floats(5e-324, sys.float_info.max), x=st.floats(700.0, 760.0))
+@example(stripped=1.0, x=708.3964185322641)  # e^(-x) just below the least normal float
+@example(stripped=sys.float_info.max, x=760.0)
+def test_damped_against_50_digits(stripped, x):
+    with mp.workdps(50):
+        reference = mp.mpf(stripped) * mp.exp(-mp.mpf(x))
+        error = abs(mp.mpf(moments._damped(stripped, x)) - reference)
+        # 3e-16 relative where the result is a normal float, else one subnormal unit
+        assert error <= max(3e-16 * reference, mp.mpf(5e-324))
 
 
 class TestMultiInstanton:

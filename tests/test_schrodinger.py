@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from instanton_gas.potential import PolynomialPotential
+from instanton_gas.potential import ParameterError, PolynomialPotential
 from instanton_gas.schrodinger import (
     BracketError,
     DomainError,
@@ -242,8 +242,16 @@ class TestScalingStudy:
             scaling_study(0.5, [2.0, 3.0, 4.0], grid=GridSpec(-3.0, 3.0, 2001))
 
     def test_lambdas_must_ascend(self):
-        with pytest.raises(SolverError):
-            scaling_study(0.0, [3.0, 2.0])
+        # repeated lambdas would fit a rank-deficient design
+        for lambdas in ([3.0, 2.0], [16.0, 16.0, 16.0], [16.0, 16.0, 32.0], [16.0, 20.0, 20.0]):
+            with pytest.raises(SolverError, match="strictly ascending"):
+                scaling_study(0.0, lambdas)
+
+    @pytest.mark.parametrize("k_hint", [-1.0, math.nan, math.inf])
+    def test_k_hint_must_be_finite_and_non_negative(self, k_hint):
+        with pytest.raises(ParameterError) as excinfo:
+            scaling_study(0.0, [16.0, 20.0, 25.0], K_hint=k_hint)
+        assert excinfo.value.parameter == "k_hint"
 
 
 class TestExtractionLoop:
