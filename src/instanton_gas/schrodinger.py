@@ -15,13 +15,19 @@ The gap is a difference of two eigenvalues of a matrix whose norm is about
 2/h^2, so it carries an absolute floor near 1e-10 on the default grids:
 symmetric wells lose their gap from lam ~ 130 on.
 
-numpy and scipy.linalg are imported by the functions that compute with
-them, so importing the module for its grid defaults loads neither.
+numpy is imported by the functions that compute with it, so importing the
+module for its grid defaults loads no numpy.  The solver calls the compiled
+`dstebz` of scipy's LAPACK wrapper, scipy.linalg._flapack, which it loads on
+first use without running the scipy.linalg package and its imports.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -118,10 +124,14 @@ class TridiagonalOperator:
     size: int
 
     def __post_init__(self):
-        if not self.off_diagonal < 0.0:
-            raise SolverError("off-diagonal must be strictly negative")
+        import numpy as np
+
+        if not (isfinite(self.off_diagonal) and self.off_diagonal < 0.0):
+            raise SolverError("off-diagonal must be finite and strictly negative")
         if len(self.diagonal) != self.size:
             raise SolverError("diagonal length must equal size")
+        if not np.isfinite(self.diagonal).all():
+            raise SolverError("diagonal entries must be finite")
 
 
 def discretize(potential, grid, min_boundary_potential=None):
@@ -177,12 +187,39 @@ def sturm_count(operator, x):
     return count
 
 
-def lowest_eigenvalues(operator, count):
-    """The `count` smallest eigenvalues by LAPACK bisection (`stebz`).
+@cache
+def _dstebz():
+    """LAPACK's dstebz from scipy.linalg._flapack, loaded once.
 
-    Each eigenvalue is bisected to absolute width EIGENVALUE_TOL;
+    The extension is found in scipy's linalg directory and loaded under its
+    own name, so scipy/linalg/__init__.py and the modules it imports never
+    run.  The module registers itself in sys.modules, and a later `import
+    scipy.linalg` reuses it; if scipy.linalg came first, its module is used.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        where = [f"{scipy.__path__[0]}/linalg"]
+        found = PathFinder.find_spec("_flapack", where)
+        if found is None:
+            raise ImportError(f"no {name} extension in {where[0]}", name=name)
+        spec = spec_from_file_location(name, found.origin)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dstebz
+
+
+def lowest_eigenvalues(operator, count):
+    """The `count` smallest eigenvalues by LAPACK bisection (`dstebz`).
+
+    The arguments are those scipy.linalg.eigh_tridiagonal passes with
+    select="i" and lapack_driver="stebz", so the eigenvalues are the same
+    bits.  Each eigenvalue is bisected to absolute width EIGENVALUE_TOL;
     eigenvalues of the irreducible operator are simple, so the returned
-    list of floats is strictly increasing.
+    list of floats is strictly increasing.  A LAPACK error or a short
+    result raises SolverError.
     """
     if count < 1 or count > 4:
         raise SolverError("count must be between 1 and 4")
@@ -190,15 +227,19 @@ def lowest_eigenvalues(operator, count):
         raise BracketError(
             f"cannot find {count} eigenvalues of a {operator.size}-row operator"
         )
+    if operator.size == 1:
+        # the wrapper refuses an empty off-diagonal; a 1x1 matrix is its own eigenvalue
+        return [float(operator.diagonal[0])]
     import numpy as np
-    from scipy.linalg import eigh_tridiagonal
 
     off = np.full(operator.size - 1, operator.off_diagonal)
-    eigs = eigh_tridiagonal(
-        operator.diagonal, off, eigvals_only=True, select="i",
-        select_range=(0, count - 1), lapack_driver="stebz", tol=EIGENVALUE_TOL,
+    # range 2 selects by index, il..iu = 1..count; order "E" sorts the whole matrix
+    found, eigs, _, _, info = _dstebz()(
+        operator.diagonal, off, 2, 0.0, 0.0, 1, count, EIGENVALUE_TOL, "E",
     )
-    return eigs.tolist()
+    if info != 0 or found != count:
+        raise SolverError(f"stebz returned info {info} with {found} of {count} eigenvalues")
+    return eigs[:found].tolist()
 
 
 class GapEstimate(NamedTuple):

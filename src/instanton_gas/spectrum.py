@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import exp, hypot, sqrt
+from math import exp, expm1, hypot, sqrt
 from typing import NamedTuple
 
 from .potential import ComputationError, ParameterError, _integral
@@ -116,8 +116,9 @@ def gas_sum_closed(params):
     """Closed form of the summed well-to-well amplitude at time T.
 
     Returns C (e^(-E+ T) - e^(-E- T)); identically 0 when B = 0 (no
-    tunneling path connects the wells).  Raises SpectrumError when
-    e^(-E+ T) overflows float64.
+    tunneling path connects the wells).  It is evaluated as
+    -C e^(-E+ T) expm1(-gap T), which does not cancel at small T.  Raises
+    SpectrumError when e^(-E+ T) overflows float64.
     """
     _require_b(params)
     if params.B == 0.0:
@@ -130,7 +131,7 @@ def gas_sum_closed(params):
         raise SpectrumError(
             f"e^(-E+ T) overflows float64 at E+ T = {res.e_plus * params.T!r}"
         ) from None
-    return c * (grow - exp(-res.e_minus * params.T))
+    return -c * grow * expm1(-res.gap * params.T)
 
 
 def gas_sum_partial(params, n_terms):

@@ -3,7 +3,8 @@
 A bare `import instanton_gas` loads no submodule: its names resolve on
 first access.  No command loads scipy.integrate: the quadrature oracle
 integrates by Gauss-Legendre in numpy, the gas sum needs no numpy at any
-asymmetry, and only the grid commands load scipy.linalg.  Every check of
+asymmetry, and the grid commands load scipy's compiled LAPACK wrapper,
+scipy.linalg._flapack, without the scipy.linalg package.  Every check of
 what is loaded runs in a fresh interpreter, because the pytest process
 itself imports whatever the other test modules use.
 """
@@ -85,13 +86,43 @@ def test_closed_form_commands_leave_scipy_unloaded(argv):
     assert scipy_loaded(*argv) == set()
 
 
-def test_benchmark_loads_linalg_not_integrate():
-    loaded = heavy_loaded(
-        "benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3",
-    )
+@pytest.mark.parametrize("argv", [
+    ("benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3"),
+    ("scaling", "--b", "0", "--lambdas", "4,6,8", "--points", "2001"),
+], ids=["benchmark", "scaling"])
+def test_grid_commands_load_flapack_not_linalg_package_or_integrate(argv):
+    loaded = heavy_loaded(*argv)
     assert "numpy" in loaded
-    assert "scipy.linalg" in loaded
+    assert {m for m in loaded if m.startswith("scipy.linalg")} == {"scipy.linalg._flapack"}
     assert "scipy.integrate" not in loaded
+
+
+_SOLVE_AROUND_LINALG = """
+import json, sys
+from instanton_gas import schrodinger
+op = schrodinger.discretize(schrodinger.benchmark_potential(64.0, 0.3), schrodinger.GridSpec(-3.5, 3.5, 4001))
+solves = []
+if sys.argv[1] == "linalg-first":
+    import scipy.linalg
+solves.append([e.hex() for e in schrodinger.lowest_eigenvalues(op, 4)])
+import scipy.linalg
+solves.append([e.hex() for e in schrodinger.lowest_eigenvalues(op, 4)])
+print(json.dumps({"solves": solves, "shared": schrodinger._dstebz() is scipy.linalg.lapack._flapack.dstebz}))
+"""
+
+
+def test_solver_gives_the_same_bits_before_and_after_scipy_linalg_import():
+    # the solver's own load of scipy.linalg._flapack and the scipy.linalg package's
+    # import of it share one extension module, whichever comes first
+    runs = {}
+    for order in ("solver-first", "linalg-first"):
+        proc = fresh("-c", _SOLVE_AROUND_LINALG, order)
+        assert proc.returncode == 0, proc.stderr
+        runs[order] = json.loads(proc.stdout)
+        assert runs[order]["shared"]
+        first, second = runs[order]["solves"]
+        assert first == second
+    assert runs["solver-first"]["solves"] == runs["linalg-first"]["solves"]
 
 
 @pytest.mark.parametrize("argv", [

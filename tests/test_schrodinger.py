@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from instanton_gas import schrodinger
 from instanton_gas.potential import ParameterError, PolynomialPotential
 from instanton_gas.schrodinger import (
+    EIGENVALUE_TOL,
     BracketError,
     DomainError,
     MAX_POINTS,
@@ -141,6 +144,47 @@ class TestEigenvalues:
         op = TridiagonalOperator(diagonal=np.array([1.0, 2.0]), off_diagonal=-0.1, size=2)
         with pytest.raises(BracketError):
             lowest_eigenvalues(op, 4)
+
+    @pytest.mark.parametrize("diagonal, off_diagonal", [
+        ([1.0, math.nan, 2.0], -0.1),
+        ([1.0, math.inf, 2.0], -0.1),
+        ([1.0, -math.inf, 2.0], -0.1),
+        ([1.0, 1.5, 2.0], -math.inf),
+        ([1.0, 1.5, 2.0], math.nan),
+    ])
+    def test_non_finite_operator_is_solver_error(self, diagonal, off_diagonal):
+        # refused before LAPACK runs, which has no finiteness check of its own
+        with pytest.raises(SolverError, match="finite"):
+            lowest_eigenvalues(TridiagonalOperator(np.array(diagonal), off_diagonal, 3), 2)
+
+    @pytest.mark.parametrize("found, info", [(1, 0), (2, 4)], ids=["short", "info"])
+    def test_lapack_failure_is_solver_error(self, monkeypatch, found, info):
+        monkeypatch.setattr(schrodinger, "_dstebz", lambda: lambda d, *args: (found, d.copy(), None, None, info))
+        op = TridiagonalOperator(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=-0.1, size=3)
+        with pytest.raises(SolverError, match=f"info {info} with {found} of 2 eigenvalues"):
+            lowest_eigenvalues(op, 2)
+
+    def test_one_row_is_its_diagonal(self):
+        op = discretize(harmonic, GridSpec(-1.0, 1.0, 3))
+        assert lowest_eigenvalues(op, 1) == [op.diagonal[0]] == eigh_tridiagonal(
+            op.diagonal, np.empty(0), eigvals_only=True, select="i", select_range=(0, 0),
+            lapack_driver="stebz", tol=EIGENVALUE_TOL,
+        ).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(math.log(2.0), math.log(256.0)).map(math.exp),
+        b=st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True),
+        points=st.sampled_from([7, 101, 1201, 4001]),
+        count=st.integers(1, 4),
+    )
+    def test_same_bits_as_eigh_tridiagonal(self, lam, b, points, count):
+        op = discretize(benchmark_potential(lam, b), GridSpec(-3.5, 3.5, points))
+        ref = eigh_tridiagonal(
+            op.diagonal, np.full(op.size - 1, op.off_diagonal), eigvals_only=True, select="i",
+            select_range=(0, count - 1), lapack_driver="stebz", tol=EIGENVALUE_TOL,
+        )
+        assert lowest_eigenvalues(op, count) == ref.tolist()
 
     def test_double_well_near_degeneracy(self):
         pot = PolynomialPotential((5.0, 0.0, -10.0, 0.0, 5.0))  # 5 (x^2-1)^2

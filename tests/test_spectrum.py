@@ -127,8 +127,22 @@ class TestGasSum:
         params = WellParameters(omega0=1.0, omega1=2.0, T=1e-8, B=0.3)
         res = energies(params)
         assert gas_sum_closed(params) == pytest.approx(
-            res.amplitude_coefficient * res.gap * params.T, rel=1e-7
+            res.amplitude_coefficient * res.gap * params.T, rel=1e-7, abs=0.0
         )
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 10.0])
+    def test_closed_form_against_mpmath(self, t):
+        # -C e^(-E+ T) expm1(-gap T) keeps full precision at small T, where
+        # the difference of the two exponentials would cancel
+        params = WellParameters(omega0=1.0, omega1=2.0, T=t, B=0.3)
+        with mpmath.workdps(50):
+            w0, w1, b, tm = (mpmath.mpf(v) for v in (1.0, 2.0, 0.3, t))
+            d = (w0 - w1) / 2
+            root = mpmath.sqrt(d**2 / 4 + b**2)
+            mean = (w0 + w1) / 4
+            c = 1 / (2 * mpmath.sqrt(1 + (d / (2 * b)) ** 2))
+            exact = c * (mpmath.exp(-(mean - root) * tm) - mpmath.exp(-(mean + root) * tm))
+            assert abs(gas_sum_closed(params) - exact) <= 1e-14 * exact
 
     def test_no_tunneling(self):
         params = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=0.0)

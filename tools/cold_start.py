@@ -39,6 +39,9 @@ COMMANDS = (
     ("triangle-verify --depth 18", ("triangle-verify", "--depth", "18", "--ratio", "2/5"), 0),
     ("benchmark", ("benchmark", "--lambda", "4", "--b", "0.5"), 0),
     ("scaling", ("scaling", "--b", "0", "--lambdas", "4,6,8", "--points", "2001"), 0),
+    # the two grid calls of the benchmark's cli-cold cycle, on the default grid
+    ("benchmark --lambda 64 --b 0", ("benchmark", "--lambda", "64", "--b", "0"), 0),
+    ("scaling --b 0 --lambdas 16,20,25", ("scaling", "--b", "0", "--lambdas", "16,20,25"), 0),
 )
 
 
