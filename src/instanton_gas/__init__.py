@@ -40,7 +40,6 @@ _EXPORTS = {
             "moment_kummer",
             "moment_quadrature",
             "moment_recursive",
-            "moment_symmetric",
             "multi_instanton",
             "sweep_grid",
         ),

@@ -109,9 +109,9 @@ def _run_moments(a):
         MomentKey,
         MomentKeyError,
         moment_closed,
+        moment_kummer,
         moment_quadrature,
         moment_recursive,
-        moment_symmetric,
     )
 
     params = _well_parameters(a)
@@ -136,7 +136,7 @@ def _run_moments(a):
                 raise CliError(
                     "bad-value", "symmetric method requires omega0 == omega1", "method"
                 )
-            values.append(("symmetric", moment_symmetric(key, params.B, params.T, params.omega0)))
+            values.append(("symmetric", moment_kummer(key, params)))
     except ParameterError:
         raise
     except MomentError as exc:

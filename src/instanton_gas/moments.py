@@ -34,7 +34,9 @@ series instead,
 
 with p = n for d >= 0 and p = m otherwise (DLMF 13.4.1, and Kummer's
 transformation 13.2.39 for d < 0): every term is positive, so nothing
-cancels, and the series needs plain floats only.  No route loads scipy.
+cancels, and the series needs plain floats only.  At d = 0, the paper's
+symmetric limit, the series is (BT)^N/N! alone: moment_kummer is the
+evaluator there too.  No route loads scipy.
 
 Every route forms the full value, stripped e^(-(w0+w1)T/4), by _damped,
 which scales the mantissa instead where that factor is subnormal or 0.
@@ -82,7 +84,7 @@ _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
-_METHODS = ("closed", "recursive", "quadrature", "kummer", "symmetric-limit")
+_METHODS = ("closed", "recursive", "quadrature", "kummer")
 
 
 class MomentError(ComputationError):
@@ -98,7 +100,7 @@ class QuadratureError(MomentError):
 
 
 class SymmetricLimitError(MomentError):
-    """delta too small for the recursion; use the symmetric-limit path."""
+    """delta too small for the recursion; use moment_kummer."""
 
 
 class MomentKeyError(MomentError, ValueError):
@@ -168,8 +170,13 @@ def _as_key(key):
 
 
 def _decay(params):
-    """(w0+w1)T/4, the exponent of the common prefactor."""
-    return (params.omega0 + params.omega1) * params.T / 4.0
+    """(w0+w1)T/4, the exponent of the common prefactor.
+
+    The quarters are summed, so w0 + w1 beyond float64 does not make it
+    infinite.  Where the quarters are normal floats and (w0+w1)T is
+    finite, it has the bits of (w0+w1)T/4, and at w0 == w1 those of
+    w0 T/2."""
+    return (params.omega0 / 4.0 + params.omega1 / 4.0) * params.T
 
 
 def prefactor(params):
@@ -280,7 +287,7 @@ def moment_closed(key, params):
     n, m = key.n, key.m
     _require_b(params)
     if params.delta == 0.0:
-        raise SymmetricLimitError("delta = 0: use moment_symmetric")
+        raise SymmetricLimitError("delta = 0: use moment_kummer")
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "closed")
 
@@ -322,7 +329,7 @@ def moment_recursive(max_n, max_m, params):
     max_n, max_m = key.n, key.m
     if params.delta == 0.0 or abs(params.delta) * params.T < 1e-12:
         raise SymmetricLimitError(
-            "|delta| T below stability threshold: use moment_symmetric"
+            "|delta| T below stability threshold: use moment_kummer"
         )
     if params.B == 0.0:
         values = {
@@ -472,18 +479,18 @@ def _kummer_stripped(n, m, basis):
 
 def moment_kummer(key, params):
     """Kummer-series evaluation of I(n, m) for |delta| T < 0.1; the route of
-    multi_instanton there.
+    multi_instanton there, and of `moments --method symmetric` at delta = 0.
 
     With N = n+m+1, z = |delta| T and p = n for delta >= 0, else m,
 
         stripped I(n, m) = (BT)^N / N!  e^(-z/2)  M(p+1, N+1, z).
 
     Every term of M is positive and at most z times the one before, so the
-    sum neither cancels nor needs more than a dozen terms.  (BT)^N is
-    formed as mantissas and a power of two, so that no factor leaves the
-    float64 range before the result does.  B = 0 gives 0; MomentError is
-    raised when the stripped value exceeds float64, and MomentParameterError
-    naming delta when |delta| T >= 0.1.
+    sum neither cancels nor needs more than a dozen terms; at delta = 0 it
+    is 1.  (BT)^N is formed as mantissas and a power of two, so that no
+    factor leaves the float64 range before the result does.  B = 0 gives 0;
+    MomentError is raised when the stripped value exceeds float64, and
+    MomentParameterError naming delta when |delta| T >= 0.1.
     """
     key = _as_key(key)
     n, m = key.n, key.m
@@ -496,24 +503,6 @@ def moment_kummer(key, params):
         return MomentValue(0.0, 0.0, "kummer")
     stripped = _kummer_stripped(n, m, _kummer_basis(params))
     return MomentValue(stripped, _damped(stripped, _decay(params)), "kummer")
-
-
-def moment_symmetric(key, B, T, omega):
-    """Equal-curvature limit: the integral collapses to a Beta function,
-
-        stripped I(n, m) = (B T)^(n+m+1) / (n+m+1)!  (times B^0 bookkeeping),
-
-    with full value carrying e^(-omega T / 2).
-    """
-    key = _as_key(key)
-    n, m = key.n, key.m
-    try:
-        stripped = B ** (n + m + 1) * T ** (n + m + 1) / float(factorial(n + m + 1))
-    except OverflowError:
-        stripped = math.inf
-    if not math.isfinite(stripped):
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
-    return MomentValue(stripped, _damped(stripped, omega * T / 2.0), "symmetric-limit")
 
 
 def multi_instanton(i, params):

@@ -73,13 +73,13 @@ def _integral(value):
         return None
 
 
-def _check_parameter(name, value, positive):
+def _check_parameter(name, value, positive, error=ParameterError):
     if not isfinite(value):
-        raise ParameterError(name, f"{name} must be finite, got {value!r}")
+        raise error(name, f"{name} must be finite, got {value!r}")
     if positive and not value > 0:
-        raise ParameterError(name, f"{name} must be positive")
+        raise error(name, f"{name} must be positive")
     if not positive and value < 0:
-        raise ParameterError(name, f"{name} must be >= 0")
+        raise error(name, f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

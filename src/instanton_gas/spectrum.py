@@ -21,11 +21,11 @@ from itertools import islice
 from math import exp, expm1, hypot, sqrt
 from typing import NamedTuple
 
-from .potential import ComputationError, ParameterError, _integral
+from .potential import ComputationError, ParameterError, _check_parameter, _integral
 
 
 class SpectrumError(ComputationError, ArithmeticError):
-    """A spectrum quantity is not representable in float64, or fails its self-check."""
+    """A spectrum quantity is not representable in float64."""
 
 
 class SpectrumParameterError(ParameterError, SpectrumError):
@@ -38,6 +38,12 @@ class SpectrumParameterError(ParameterError, SpectrumError):
 def _require_b(params):
     if params.B is None:
         raise SpectrumParameterError("B", "params.B required (supply B or the pair K, s_inst)")
+
+
+def _check_arguments(**arguments):
+    """Refuse, naming it, a non-finite argument, an omega <= 0 or any other below 0."""
+    for name, value in arguments.items():
+        _check_parameter(name, value, name.startswith("omega"), SpectrumParameterError)
 
 
 @dataclass(frozen=True)
@@ -54,25 +60,19 @@ class SpectrumResult:
             raise SpectrumParameterError("e_plus", "e_plus must not exceed e_minus")
 
 
-def _amplitude_coefficient(delta, b):
-    if delta == 0.0:
-        return 0.5
-    if b == 0.0:
-        return 0.0
-    ratio = delta / (2.0 * b)
-    try:
-        return 0.5 / sqrt(1.0 + ratio**2)
-    except OverflowError:  # ratio^2 beyond float64, where sqrt(1 + ratio^2) is |ratio|
-        return 0.5 / abs(ratio)
+def _two_level(omega0, omega1, coupling):
+    """Levels E+ <= E- of [[w0/2, B], [B, w1/2]], their gap, and the amplitude C.
 
-
-def _levels(omega0, omega1, coupling):
-    """E+ <= E- of [[w0/2, B], [B, w1/2]], and the root sqrt(d^2/4 + B^2).
-
-    E+ = mean - root cancels where root nears mean (e.g. w1 >> w0); there it
-    is taken from the product E+ E- = w0 w1/4 - B^2, each term divided by
-    mean + root first so that nothing overflows.
+    B = 0 gives the bare levels w/2 exactly.  E+ = mean - root cancels where
+    root nears mean (e.g. w1 >> w0); there it is taken from the product
+    E+ E- = w0 w1/4 - B^2, each term divided by mean + root first so that
+    nothing overflows.
     """
+    delta = (omega0 - omega1) / 2.0
+    if coupling == 0.0:
+        lo, hi = sorted((omega0 / 2.0, omega1 / 2.0))
+        # coincident levels at delta = 0 are a degenerate doublet, not an error
+        return SpectrumResult(lo, hi, hi - lo, 0.5 if delta == 0.0 else 0.0)
     mean = (omega0 + omega1) / 4.0
     root = hypot((omega0 - omega1) / 4.0, coupling)
     e_plus = mean - root
@@ -80,36 +80,22 @@ def _levels(omega0, omega1, coupling):
         lo, hi = sorted((omega0, omega1))
         total = mean + root
         e_plus = (lo / 2.0) * ((hi / 2.0) / total) - coupling * (coupling / total)
-    return e_plus, mean + root, root
+    ratio = delta / (2.0 * coupling)
+    try:
+        c = 0.5 / sqrt(1.0 + ratio**2)
+    except OverflowError:  # ratio^2 beyond float64, where sqrt(1 + ratio^2) is |ratio|
+        c = 0.5 / abs(ratio)
+    return SpectrumResult(e_plus, mean + root, 2.0 * root, c)
 
 
 def energies(params):
     """Level energies E_pm and gap for the given well parameters.
 
     The energies are read off the amplitude exponents and do not depend on
-    the observation time T.  When both B and (K, s_inst) are known the two
-    algebraically identical gap expressions are evaluated as a self-check.
-    B = 0 takes the exact decoupled branch: the bare harmonic levels.
+    the observation time T.  B = 0 gives the bare harmonic levels exactly.
     """
     _require_b(params)
-    b = params.B
-    w0, w1, d = params.omega0, params.omega1, params.delta
-    if b == 0.0 and d == 0.0:
-        # degenerate doublet: coincident levels rather than an error
-        level = w0 / 2.0
-        return SpectrumResult(level, level, 0.0, _amplitude_coefficient(d, b))
-    if b == 0.0:
-        lo, hi = min(w0, w1) / 2.0, max(w0, w1) / 2.0
-        return SpectrumResult(lo, hi, hi - lo, 0.0)
-    e_plus, e_minus, root = _levels(w0, w1, b)
-    gap = 2.0 * root
-    if params.K is not None and params.s_inst is not None:
-        alt = hypot((w1 - w0) / 2.0, 2.0 * params.K * exp(-params.s_inst))
-        if abs(alt - gap) > 1e-10 * max(gap, 1e-300):
-            raise SpectrumError(
-                f"gap self-check failed: {gap!r} vs {alt!r} from (K, s_inst)"
-            )
-    return SpectrumResult(e_plus, e_minus, gap, _amplitude_coefficient(d, b))
+    return _two_level(params.omega0, params.omega1, params.B)
 
 
 def gas_sum_closed(params):
@@ -168,14 +154,12 @@ def gas_sum_partial(params, n_terms):
 def truncated_hamiltonian(omega0, omega1, coupling):
     """Eigenvalues of the two-state matrix [[w0/2, B'], [B', w1/2]].
 
-    Evaluated by the same stable formula as energies(), with which it
-    coincides at B = B'.
+    The solver of energies(), with which it coincides at B = B'.  A
+    non-finite argument, an omega <= 0 or a negative coupling raises
+    SpectrumParameterError naming it.
     """
-    if coupling < 0:
-        raise SpectrumParameterError("coupling", "coupling must be >= 0")
-    e_plus, e_minus, root = _levels(omega0, omega1, coupling)
-    delta = (omega0 - omega1) / 2.0
-    return SpectrumResult(e_plus, e_minus, 2.0 * root, _amplitude_coefficient(delta, coupling))
+    _check_arguments(omega0=omega0, omega1=omega1, coupling=coupling)
+    return _two_level(omega0, omega1, coupling)
 
 
 class CouplingEstimate(NamedTuple):
@@ -189,10 +173,11 @@ def extract_coupling(measured_gap, omega0, omega1):
     """Invert the gap formula for the coupling B'.
 
     B' = sqrt(max(gap^2 - (w1-w0)^2/4, 0)) / 2; a gap at (or below) the
-    bare level offset clamps to 0 and is flagged asymmetry-dominated.
+    bare level offset clamps to 0 and is flagged asymmetry-dominated.  A
+    non-finite argument, a negative gap or an omega <= 0 raises
+    SpectrumParameterError naming it.
     """
-    if measured_gap < 0:
-        raise SpectrumParameterError("measured_gap", "measured_gap must be >= 0")
+    _check_arguments(measured_gap=measured_gap, omega0=omega0, omega1=omega1)
     try:
         disc = measured_gap**2 - (omega1 - omega0) ** 2 / 4.0
     except OverflowError:  # a square beyond float64: factor the difference of squares

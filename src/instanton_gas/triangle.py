@@ -118,8 +118,10 @@ class CoefficientTriangle:
         """Float value of the stripped I(n, m) from the exact coefficients.
 
         B/delta must match the construction ratio (checked loosely: the
-        caller usually holds floats).
+        caller usually holds floats); delta = 0 raises TriangleParameterError.
         """
+        if delta == 0:
+            raise TriangleParameterError("delta", "delta must be nonzero: B/delta is the triangle ratio")
         if abs(B / delta - float(self.ratio)) > 1e-9 * abs(float(self.ratio)):
             raise TriangleError("B/delta does not match the triangle ratio")
         self._check_key(n, m)

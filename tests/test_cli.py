@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -121,6 +122,25 @@ class TestMomentsCommand:
         )
         assert code == 2
         assert json.loads(out)["code"] == "bad-value"
+
+    # B**N and T**N formed apart give 0.0 for the first and overflow for the second; the
+    # reference is (BT)^N / N! of the same float inputs at 50 digits
+    @pytest.mark.parametrize("n, m, omega, B, T", [
+        ("61", "40", "19.42110678613026", "0.0005325570569768075", "78.78757092719883"),
+        ("48", "61", "3.692351807441587", "1.0900076616798224", "915.9009138986003"),
+    ])
+    def test_symmetric_method_keeps_every_float64_value(self, capsys, n, m, omega, B, T):
+        code, out, err = run_cli(
+            capsys, "moments", "--n", n, "--m", m, "--omega0", omega, "--omega1", omega,
+            "--B", B, "--T", T, "--method", "symmetric", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        (row,) = strict_json(out)["rows"]
+        assert row["method"] == "symmetric"
+        with mpmath.workdps(50):
+            big_n = int(n) + int(m) + 1
+            reference = (mpmath.mpf(float(B)) * mpmath.mpf(float(T))) ** big_n / mpmath.factorial(big_n)
+            assert abs(row["stripped"] - reference) <= 1e-14 * reference
 
     def test_zero_coupling_gives_zero_rows(self, capsys):
         code, out, err = run_cli(

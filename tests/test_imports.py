@@ -65,7 +65,12 @@ def test_cli_import_loads_no_scipy():
     assert scipy_loaded() == set()
 
 
-@pytest.mark.parametrize("argv", [(), ("spectrum", *_WELL)])
+@pytest.mark.parametrize("argv", [
+    (),
+    ("spectrum", *_WELL),
+    ("moments", "--n", "1", "--m", "2", "--omega0", "1.5", "--omega1", "1.5", "--B", "0.3", "--T", "2",
+     "--method", "symmetric"),
+])
 def test_cli_import_and_spectrum_load_no_numpy_mpmath_or_scipy(argv):
     assert heavy_loaded(*argv) == set()
 
@@ -149,7 +154,7 @@ EXPORTS = {
     ),
     "moments": (
         "MomentKey", "MomentTable", "MomentValue", "moment_closed", "moment_kummer", "moment_quadrature",
-        "moment_recursive", "moment_symmetric", "multi_instanton", "sweep_grid",
+        "moment_recursive", "multi_instanton", "sweep_grid",
     ),
     "triangle": (
         "BasisCoefficient", "CoefficientTriangle", "ColumnCoefficients", "build_triangle", "central_sequence",

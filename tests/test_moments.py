@@ -20,7 +20,6 @@ from instanton_gas.moments import (
     moment_kummer,
     moment_quadrature,
     moment_recursive,
-    moment_symmetric,
     multi_instanton,
     prefactor,
     sweep_grid,
@@ -47,6 +46,12 @@ def reference_50_digits(n, m, params):
         return (2 * b * h) ** big_n / mp.factorial(big_n) * mp.exp(-d * h) * mp.hyp1f1(
             n + 1, big_n + 1, 2 * d * h
         )
+
+
+def symmetric_limit_50_digits(n, m, B, T):
+    """Stripped I(n, m) at delta = 0, the paper's symmetric limit, at 50 digits: (BT)^N / N!."""
+    with mp.workdps(50):
+        return (mp.mpf(B) * mp.mpf(T)) ** (n + m + 1) / mp.factorial(n + m + 1)
 
 
 def well(delta, T, B):
@@ -255,9 +260,11 @@ class TestKummer:
     @pytest.mark.parametrize("key", [(0, 0), (1, 0), (2, 1), (7, 7), (40, 23), (64, 64)])
     def test_zero_delta_equals_symmetric_limit(self, key):
         value = moment_kummer(key, WellParameters(omega0=1.5, omega1=1.5, T=2.0, B=0.7))
-        reference = moment_symmetric(key, B=0.7, T=2.0, omega=1.5)
-        assert value.stripped == pytest.approx(reference.stripped, rel=2e-15)
-        assert value.full == pytest.approx(reference.full, rel=2e-15)
+        reference = symmetric_limit_50_digits(*key, B=0.7, T=2.0)
+        with mp.workdps(50):
+            full = reference * mp.exp(-mp.mpf(1.5) * 2 / 2)  # e^(-omega T/2)
+        assert value.stripped == pytest.approx(float(reference), rel=2e-15)
+        assert value.full == pytest.approx(float(full), rel=2e-15)
 
     @pytest.mark.parametrize("delta_t", [0.1, -0.5, 1e300])
     def test_outside_domain_names_delta(self, delta_t):
@@ -288,6 +295,11 @@ class TestKummer:
 @example(n=64, m=64, delta_t=0.0, sign=1.0, T=2.0, B=150.0)  # B T = 300
 @example(n=64, m=64, delta_t=0.0999, sign=-1.0, T=2.0, B=150.0)
 @example(n=0, m=64, delta_t=0.0999, sign=1.0, T=0.1, B=0.01)
+# delta = 0 inputs whose value float64 holds, but where B**N or T**N alone does not:
+# formed apart, they give 0, "exceeds float64", and a value 7.5% off
+@example(n=61, m=40, delta_t=0.0, sign=1.0, T=78.78757092719883, B=0.0005325570569768075)
+@example(n=48, m=61, delta_t=0.0, sign=1.0, T=915.9009138986003, B=1.0900076616798224)
+@example(n=37, m=58, delta_t=0.0, sign=1.0, T=827.5353551398848, B=0.00042912169626377713)
 def test_kummer_against_50_digits(n, m, delta_t, sign, T, B):
     params = well(sign * delta_t / T, T, B)
     if not abs(params.delta) * T < 0.1:  # delta rounded up across the domain's edge
@@ -303,26 +315,28 @@ def test_kummer_against_50_digits(n, m, delta_t, sign, T, B):
 
 
 class TestSymmetric:
+    """The paper's symmetric limit, omega0 == omega1, where moment_kummer is the evaluator."""
+
     def test_diagonal_value(self):
-        val = moment_symmetric((1, 1), B=0.3, T=2.0, omega=1.0)
+        val = moment_kummer((1, 1), WellParameters(omega0=1.0, omega1=1.0, T=2.0, B=0.3))
         assert val.stripped == pytest.approx(0.036, rel=1e-14)
 
     def test_unit_case(self):
-        assert moment_symmetric((0, 0), B=1.0, T=1.0, omega=1.0).stripped == 1.0
+        assert moment_kummer((0, 0), WellParameters(omega0=1.0, omega1=1.0, T=1.0, B=1.0)).stripped == 1.0
 
     def test_off_diagonal_matches_quadrature(self):
         params = WellParameters(omega0=1.0, omega1=1.0, T=2.0, B=1.0)
-        val = moment_symmetric((2, 1), B=1.0, T=2.0, omega=1.0)
+        val = moment_kummer((2, 1), params)
         assert val.stripped == pytest.approx(2.0**4 / 24.0, rel=1e-14)
         assert val.stripped == pytest.approx(
             moment_quadrature((2, 1), params).stripped, rel=1e-11
         )
 
-    # B^2 raises OverflowError; B T overflows to inf without one
-    @pytest.mark.parametrize("key, T", [((0, 1), 1.0), ((0, 0), 10.0)])
-    def test_beyond_float64_is_moment_error(self, key, T):
-        with pytest.raises(MomentError, match="exceeds float64"):
-            moment_symmetric(key, B=1e308, T=T, omega=1.0)
+    def test_full_value_where_omega0_plus_omega1_overflows(self):
+        # w0 + w1 is inf, yet the prefactor e^(-omega T/2) = e^(-7.5) is a normal float
+        val = moment_kummer((0, 0), WellParameters(omega0=1.5e308, omega1=1.5e308, T=1e-307, B=1e300))
+        assert val.stripped == pytest.approx(1e-7, rel=1e-15)
+        assert val.full == pytest.approx(val.stripped * exp(-1.5e308 * 1e-307 / 2.0), rel=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
@@ -390,7 +404,7 @@ class TestInvariants:
         table = moment_recursive(5, 5, params)
         for n in range(6):
             for m in range(6):
-                reference = moment_symmetric((n, m), 0.3, 2.0, 1.0).stripped
+                reference = float(symmetric_limit_50_digits(n, m, 0.3, 2.0))
                 assert table.value(n, m).stripped == pytest.approx(reference, rel=1e-5)
                 assert moment_closed((n, m), params).stripped == pytest.approx(
                     reference, rel=1e-5

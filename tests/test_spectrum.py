@@ -253,6 +253,13 @@ class TestTruncatedHamiltonian:
         assert res.e_plus == 0.5
         assert res.e_minus == 1.0
 
+    @pytest.mark.parametrize("omega0, omega1", [(math.sqrt(2.0), math.sqrt(3.0)), (1.9, 0.7), (0.1, 0.3), (1.0, 1.0)])
+    def test_zero_coupling_is_the_bare_levels_of_energies(self, omega0, omega1):
+        # mean -+ root misses min/2 by one ulp on the first three
+        res = truncated_hamiltonian(omega0, omega1, 0.0)
+        assert (res.e_plus, res.e_minus) == (min(omega0, omega1) / 2.0, max(omega0, omega1) / 2.0)
+        assert res == energies(WellParameters(omega0=omega0, omega1=omega1, T=1.0, B=0.0))
+
     def test_symmetric_case(self):
         res = truncated_hamiltonian(1.0, 1.0, 0.3)
         assert res.e_plus == pytest.approx(0.2, rel=1e-15)
@@ -364,3 +371,34 @@ class TestParameterErrors:
         with pytest.raises(SpectrumParameterError, match="measured_gap must be >= 0") as excinfo:
             extract_coupling(-0.1, 1.0, 2.0)
         self.check(excinfo, "measured_gap")
+
+    @pytest.mark.parametrize("args, parameter, message", [
+        ((1.0, 2.0, math.nan), "coupling", "coupling must be finite, got nan"),
+        ((1.0, 2.0, math.inf), "coupling", "coupling must be finite, got inf"),
+        ((math.nan, 2.0, 0.3), "omega0", "omega0 must be finite, got nan"),
+        ((1.0, -math.inf, 0.3), "omega1", "omega1 must be finite, got -inf"),
+        ((-1.0, 2.0, 0.3), "omega0", "omega0 must be positive"),
+        ((1.0, 0.0, 0.3), "omega1", "omega1 must be positive"),
+    ])
+    def test_truncated_hamiltonian_arguments(self, args, parameter, message):
+        with pytest.raises(SpectrumParameterError, match=message) as excinfo:
+            truncated_hamiltonian(*args)
+        self.check(excinfo, parameter)
+
+    @pytest.mark.parametrize("args, parameter, message", [
+        ((math.nan, 1.0, 2.0), "measured_gap", "measured_gap must be finite, got nan"),
+        ((math.inf, 1.0, 2.0), "measured_gap", "measured_gap must be finite, got inf"),
+        ((0.5, math.inf, 2.0), "omega0", "omega0 must be finite, got inf"),
+        ((0.5, 1.0, math.nan), "omega1", "omega1 must be finite, got nan"),
+        ((0.5, 0.0, 2.0), "omega0", "omega0 must be positive"),
+        ((0.5, 1.0, -2.0), "omega1", "omega1 must be positive"),
+    ])
+    def test_extract_coupling_arguments(self, args, parameter, message):
+        with pytest.raises(SpectrumParameterError, match=message) as excinfo:
+            extract_coupling(*args)
+        self.check(excinfo, parameter)
+
+    @pytest.mark.parametrize("omega0, omega1", [(1.0, 2.0), (2.0, 2.0), (1e-300, 1e300)])
+    def test_zero_gap_still_clamps(self, omega0, omega1):
+        # a numeric gap of 0.0 (the subtraction floor of deep wells) is a clamp, not an error
+        assert extract_coupling(0.0, omega0, omega1) == (0.0, True)

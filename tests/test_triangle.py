@@ -119,6 +119,12 @@ class TestConstruction:
                     table.value(n, m).stripped, rel=1e-12
                 )
 
+    @pytest.mark.parametrize("delta", [0.0, -0.0])
+    def test_evaluate_refuses_zero_delta(self, delta):
+        with pytest.raises(TriangleParameterError, match="delta must be nonzero") as excinfo:
+            build_triangle(4, Fraction(-3, 5)).evaluate(1, 1, 0.3, delta, 2.0)
+        assert excinfo.value.parameter == "delta"
+
     def test_depth_cap_and_ratio_validation(self):
         with pytest.raises(TriangleError):
             build_triangle(25, Fraction(1, 2))

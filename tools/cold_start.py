@@ -36,6 +36,9 @@ COMMANDS = (
     ("sum near-symmetric --terms 40",
      ("sum", "--omega0", "2.00001", "--omega1", "2", "--B", "0.5", "--T", "3", "--terms", "40"), 0),
     ("moments --method all", ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"), 0),
+    ("moments --method symmetric",
+     ("moments", "--n", "1", "--m", "2", "--omega0", "1.5", "--omega1", "1.5", "--B", "0.3", "--T", "2",
+      "--method", "symmetric"), 0),
     ("triangle-verify --depth 18", ("triangle-verify", "--depth", "18", "--ratio", "2/5"), 0),
     ("benchmark", ("benchmark", "--lambda", "4", "--b", "0.5"), 0),
     ("scaling", ("scaling", "--b", "0", "--lambdas", "4,6,8", "--points", "2001"), 0),
