@@ -21,6 +21,11 @@ direct quadrature of the integral, the integration-by-parts recursion
     I(n,m) = e^(-w1 T/2) sum_{i<=n} C(m+n-i, m) (-1)^(n-i) (B/d)^(n+m-i+1) (BT)^i/i!
            + e^(-w0 T/2) sum_{j<=m} C(m+n-j, n) (-1)^(n+1) (B/d)^(n+m-j+1) (BT)^j/j!
 
+The closed form is summed by its running term ratio: the first term of
+each sum is formed once, and each next one is the one before times
+BT/(B/d) = dT and a ratio of integers, so no term takes a power, a
+binomial or a factorial of its own.
+
 Both the recursion and the closed form cancel catastrophically for small
 |d| T or large |B/d|, so both always run in mpmath, at one digit count
 from a bound on the closed form's |terms| (_working_digits), and round
@@ -282,7 +287,18 @@ def _mp_basis(params):
 
 def moment_closed(key, params):
     """Closed-form evaluation of I(n, m), summed in mpmath at _working_digits
-    and rounded once to float64."""
+    and rounded once to float64.
+
+    The first term of each sum, e^(+-dT/2) C(n+m, n) (-1)^n or (-1)^(n+1)
+    times (B/d)^(n+m+1), is formed once, and each next term is the one
+    before times BT/(B/d), which is dT, and a ratio of integers:
+
+        t_(i+1) = t_i (BT/(B/d)) (-(n-i)) / ((m+n-i)(i+1)),   i < n,
+        s_(j+1) = s_j (BT/(B/d)) (m-j) / ((m+n-j)(j+1)),      j < m.
+
+    Each recurrence stops at its last term, where m+n-i may be 0.  The
+    tests pin the float64 result to the bits of the term-by-term sum.
+    """
     key = _as_key(key)
     n, m = key.n, key.m
     _require_b(params)
@@ -295,11 +311,19 @@ def moment_closed(key, params):
 
     with mp.workdps(_working_digits(n, m, params)):
         r, bt, e_plus, e_minus = _mp_basis(params)
-        acc = mp.mpf(0)
-        for i in range(n + 1):
-            acc += e_plus * comb(m + n - i, m) * (-1) ** (n - i) * r ** (n + m - i + 1) * bt**i / factorial(i)
-        for j in range(m + 1):
-            acc += e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
+        step = bt / r
+        lead = comb(n + m, n) * r ** (n + m + 1)
+        if n % 2:
+            lead = -lead
+        term = acc = e_plus * lead
+        for i in range(n):
+            term = term * step * -(n - i) / ((m + n - i) * (i + 1))
+            acc += term
+        term = -e_minus * lead
+        acc += term
+        for j in range(m):
+            term = term * step * (m - j) / ((m + n - j) * (j + 1))
+            acc += term
         stripped = float(acc)
     return MomentValue(stripped, _damped(stripped, _decay(params)), "closed")
 

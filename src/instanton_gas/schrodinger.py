@@ -187,27 +187,50 @@ def sturm_count(operator, x):
     return count
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+class _FlapackHandover:
+    """Meta-path finder that hands _dstebz's scipy.linalg._flapack to scipy.linalg.
+
+    An import binds a submodule to its package only when it loads the
+    submodule, so scipy.linalg would lack the attribute _flapack if it
+    found the extension already in sys.modules.  When scipy.linalg is about
+    to be imported, this drops the extension from sys.modules, and the
+    package imports it again: the extension is initialised once per
+    process, so the new module shares its objects, dstebz among them.  It
+    finds no module itself.
+    """
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "scipy.linalg":
+            sys.modules.pop(_FLAPACK, None)
+        return None
+
+
 @cache
 def _dstebz():
     """LAPACK's dstebz from scipy.linalg._flapack, loaded once.
 
     The extension is found in scipy's linalg directory and loaded under its
     own name, so scipy/linalg/__init__.py and the modules it imports never
-    run.  The module registers itself in sys.modules, and a later `import
-    scipy.linalg` reuses it; if scipy.linalg came first, its module is used.
+    run.  The module registers itself in sys.modules, and _FlapackHandover
+    passes it on to a later `import scipy.linalg`; if scipy.linalg came
+    first, its module is used.
     """
     import scipy
 
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
+    module = sys.modules.get(_FLAPACK)
     if module is None:
         where = [f"{scipy.__path__[0]}/linalg"]
         found = PathFinder.find_spec("_flapack", where)
         if found is None:
-            raise ImportError(f"no {name} extension in {where[0]}", name=name)
-        spec = spec_from_file_location(name, found.origin)
+            raise ImportError(f"no {_FLAPACK} extension in {where[0]}", name=_FLAPACK)
+        spec = spec_from_file_location(_FLAPACK, found.origin)
         module = module_from_spec(spec)
         spec.loader.exec_module(module)
+        sys.meta_path.insert(0, _FlapackHandover)
     return module.dstebz
 
 

@@ -63,7 +63,9 @@ class SpectrumResult:
 def _two_level(omega0, omega1, coupling):
     """Levels E+ <= E- of [[w0/2, B], [B, w1/2]], their gap, and the amplitude C.
 
-    B = 0 gives the bare levels w/2 exactly.  E+ = mean - root cancels where
+    B = 0 gives the bare levels w/2 exactly.  The mean level sums the
+    quarters, w0/4 + w1/4, so that w0 + w1 beyond float64 does not make it
+    infinite (as in moments._decay).  E+ = mean - root cancels where
     root nears mean (e.g. w1 >> w0); there it is taken from the product
     E+ E- = w0 w1/4 - B^2, each term divided by mean + root first so that
     nothing overflows.
@@ -73,7 +75,7 @@ def _two_level(omega0, omega1, coupling):
         lo, hi = sorted((omega0 / 2.0, omega1 / 2.0))
         # coincident levels at delta = 0 are a degenerate doublet, not an error
         return SpectrumResult(lo, hi, hi - lo, 0.5 if delta == 0.0 else 0.0)
-    mean = (omega0 + omega1) / 4.0
+    mean = omega0 / 4.0 + omega1 / 4.0
     root = hypot((omega0 - omega1) / 4.0, coupling)
     e_plus = mean - root
     if abs(e_plus) < mean / 10.0:

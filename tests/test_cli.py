@@ -617,13 +617,20 @@ class TestBoundary:
         assert assert_error_object(code, out, "method")["code"] == "numerical"
 
     def test_non_finite_result_is_error_object(self, capsys):
-        # finite inputs whose levels overflow: (w0 + w1)/4 is infinite
-        argv = ("spectrum", "--omega0", "1e308", "--omega1", "1e308", "--B", "1")
+        # finite inputs whose gap overflows: 2B = 2e308 is beyond float64
+        argv = ("spectrum", "--omega0", "1", "--omega1", "1", "--B", "1e308")
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 1
         assert assert_error_object(code, out)["code"] == "non-finite-result"
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 1 and out == "" and "not finite" in err
+
+    def test_levels_finite_where_omega0_plus_omega1_overflows(self, capsys):
+        # w0 + w1 = 2e308 is beyond float64; the levels 5e307 -+ 1, which round to 5e307, are not
+        code, out, _ = run_cli(capsys, "spectrum", "--omega0", "1e308", "--omega1", "1e308", "--B", "1",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"e_plus": 5e307, "e_minus": 5e307, "gap": 2.0, "amplitude_coefficient": 0.5}
 
 
 _FLOAT_TEXT = st.one_of(

@@ -130,6 +130,22 @@ def test_solver_gives_the_same_bits_before_and_after_scipy_linalg_import():
     assert runs["solver-first"]["solves"] == runs["linalg-first"]["solves"]
 
 
+_LINALG_AFTER_SOLVE = """
+from instanton_gas import schrodinger
+op = schrodinger.discretize(schrodinger.benchmark_potential(4.0, 0.5), schrodinger.GridSpec(-3.0, 3.0, 101))
+schrodinger.lowest_eigenvalues(op, 2)
+import scipy.linalg
+print(scipy.linalg._flapack.dstebz is schrodinger._dstebz())
+"""
+
+
+def test_linalg_imported_after_a_solve_has_its_flapack_attribute():
+    # the package binds _flapack only when it loads it, so the solver's own load
+    # must not keep it from doing so
+    proc = fresh("-c", _LINALG_AFTER_SOLVE)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("moments", "--n", "1", "--m", "1", *_WELL, "--T", "2", "--method", "quadrature"),
     ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),

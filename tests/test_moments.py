@@ -245,6 +245,47 @@ def test_closed_and_recursion_against_50_digits(n, m, delta_t, sign, T, B):
         assert abs(value - reference) <= 1e-15 * reference, (i, j)
 
 
+def closed_per_term(n, m, params):
+    """Stripped I(n, m) by the paper's closed form, each term built from its own
+    powers, binomial and factorial, in mpmath at moment_closed's working digits
+    and rounded once to float64."""
+    with mp.workdps(moments._working_digits(n, m, params)):
+        d, b, t = mp.mpf(params.delta), mp.mpf(params.B), mp.mpf(params.T)
+        r, bt, e_plus, e_minus = b / d, b * t, mp.exp(d * t / 2), mp.exp(-d * t / 2)
+        acc = mp.mpf(0)
+        for i in range(n + 1):
+            acc += e_plus * comb(m + n - i, m) * (-1) ** (n - i) * r ** (n + m - i + 1) * bt**i / factorial(i)
+        for j in range(m + 1):
+            acc += e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
+        return float(acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 64),
+    m=st.integers(0, 64),
+    delta_t=st.floats(0.1, 60.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    T=st.floats(0.1, 30.0),
+    B=st.floats(0.01, 5.0),
+)
+@example(n=0, m=0, delta_t=1.0, sign=1.0, T=2.0, B=0.3)
+@example(n=0, m=64, delta_t=20.0, sign=-1.0, T=2.0, B=0.5)
+@example(n=64, m=0, delta_t=20.0, sign=1.0, T=2.0, B=0.5)
+@example(n=30, m=45, delta_t=0.1, sign=1.0, T=30.0, B=5.0)  # B/d = 1500
+@example(n=20, m=10, delta_t=60.0, sign=-1.0, T=0.1, B=0.01)  # B/d = -1.7e-5
+def test_closed_running_ratio_is_the_per_term_sum(n, m, delta_t, sign, T, B):
+    # moment_closed takes each term from the one before; the same bits as building each anew
+    params = well(sign * delta_t / T, T, B)
+    try:
+        value = moment_closed((n, m), params).stripped
+    except MomentError:
+        with pytest.raises(MomentError, match="exceeds float64"):
+            moments._working_digits(n, m, params)
+        return
+    assert value.hex() == closed_per_term(n, m, params).hex()
+
+
 class TestKummer:
     def test_zero_b_gives_zero(self):
         params = WellParameters(omega0=1.0, omega1=1.0 + 1e-3, T=2.0, B=0.0)

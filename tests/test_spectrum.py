@@ -91,6 +91,12 @@ class TestEnergies:
         assert res.e_minus == 5e307
         assert truncated_hamiltonian(1.0, 1e308, 1.0).e_plus == res.e_plus
 
+    def test_levels_finite_where_omega0_plus_omega1_overflows(self):
+        # w0 + w1 = 2e308 is beyond float64; the levels 5e307 -+ 1, which round to 5e307, are not
+        res = energies(WellParameters(omega0=1e308, omega1=1e308, T=1.0, B=1.0))
+        assert (res.e_plus, res.e_minus, res.gap, res.amplitude_coefficient) == (5e307, 5e307, 2.0, 0.5)
+        assert truncated_hamiltonian(1e308, 1e308, 1.0) == res
+
     @pytest.mark.parametrize("omega1", [1.0, 1.5, 3.0, 10.0, 1e3, 1e8, 1e16, 1e100, 1e300])
     @pytest.mark.parametrize("b_ratio", [0.0, 1e-3, 0.1, 0.3, 0.4])
     def test_lower_level_against_mpmath(self, omega1, b_ratio):
