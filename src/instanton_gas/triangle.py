@@ -15,14 +15,17 @@ shifts the matching term count by s).  The reported `complete` flags are a
 float-level statement: the geometric tail bound (term ratio 4 r^2, valid
 for |r| < 1/2) no longer moves the float64 value.
 
+The triangle holds every coefficient as a Python int times one scale,
+q^(depth+1) for r = p/q: a coefficient of an entry with n+m = t is an
+integer over q^(t+1), so below the last row r w is the exact p w // q.
 Every column sum comes from one table per triangle: the prefix sums of
-both branches along each diagonal (n-k, m-k), k >= 0, held as Python ints
-scaled by the common denominator of the coefficients (q^(depth+1) for
-r = p/q).  A truncated column sum of `count` terms starting at (n, m) is
-the difference of the rows (n+count-1, m+count-1) and (n-1, m-1), and each
+both branches along each diagonal (n-k, m-k), k >= 0, in the same scaled
+ints.  A truncated column sum of `count` terms starting at (n, m) is the
+difference of the rows (n+count-1, m+count-1) and (n-1, m-1), and each
 identity is checked exactly by cross-multiplying with p and q, e.g.
-q S = p (S_a - S_b) for S = r (S_a - S_b).  column_coefficients and
-central_sequence divide by the scale to return Fractions.
+q S = p (S_a - S_b) for S = r (S_a - S_b).  Fractions are built only where
+coefficients leave the module: entry, branch, column_coefficients and
+central_sequence divide by the scale.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, exp, factorial, isfinite, lcm, sqrt
+from math import comb, exp, factorial, isfinite, sqrt
 
 from .potential import ComputationError, ParameterError, _integral
 
@@ -87,89 +90,106 @@ class BasisCoefficient:
 
 @dataclass(frozen=True)
 class CoefficientTriangle:
-    """All entries with n+m <= depth at a fixed exact ratio r = B/d."""
+    """All entries with n+m <= depth at a fixed exact ratio r = B/d.
+
+    `_plus[(n, m)]` and `_minus[(n, m)]` hold the coefficients of I(n, m)
+    on the e^(+dT/2) and e^(-dT/2) branches, index j for (BT)^j/j!, as
+    ints: each is the coefficient times `scale`.
+    """
 
     depth: int
     ratio: Fraction
+    scale: int
     _plus: dict
     _minus: dict
 
     def entry(self, n, m):
         """Nonzero basis coefficients of I(n, m), plus branch first."""
-        self._check_key(n, m)
-        out = [
-            BasisCoefficient("+", j, w)
-            for j, w in enumerate(self._plus[(n, m)])
+        key = self._key(n, m)
+        return [
+            BasisCoefficient(sign, j, Fraction(w, self.scale))
+            for sign, store in zip(_SIGNS, (self._plus, self._minus))
+            for j, w in enumerate(store[key])
             if w != 0
         ]
-        out += [
-            BasisCoefficient("-", j, w)
-            for j, w in enumerate(self._minus[(n, m)])
-            if w != 0
-        ]
-        return out
 
     def branch(self, n, m, sign):
-        self._check_key(n, m)
         store = self._plus if sign == "+" else self._minus
-        return store[(n, m)]
+        return tuple(Fraction(w, self.scale) for w in store[self._key(n, m)])
 
     def evaluate(self, n, m, B, delta, T):
         """Float value of the stripped I(n, m) from the exact coefficients.
 
         B/delta must match the construction ratio (checked loosely: the
-        caller usually holds floats); delta = 0 raises TriangleParameterError.
+        caller usually holds floats); delta = 0 raises TriangleParameterError,
+        and a ratio beyond float64 raises TriangleError.
         """
         if delta == 0:
             raise TriangleParameterError("delta", "delta must be nonzero: B/delta is the triangle ratio")
-        if abs(B / delta - float(self.ratio)) > 1e-9 * abs(float(self.ratio)):
+        try:
+            ratio = float(self.ratio)
+        except OverflowError:
+            raise TriangleError(f"the triangle ratio {self.ratio} is beyond float64") from None
+        if abs(B / delta - ratio) > 1e-9 * abs(ratio):
             raise TriangleError("B/delta does not match the triangle ratio")
-        self._check_key(n, m)
+        key = self._key(n, m)
         ep, em = exp(delta * T / 2.0), exp(-delta * T / 2.0)
         bt = B * T
         total = 0.0
-        for j, w in enumerate(self._plus[(n, m)]):
-            total += float(w) * ep * bt**j / factorial(j)
-        for j, w in enumerate(self._minus[(n, m)]):
-            total += float(w) * em * bt**j / factorial(j)
+        for j, w in enumerate(self._plus[key]):
+            total += w / self.scale * ep * bt**j / factorial(j)
+        for j, w in enumerate(self._minus[key]):
+            total += w / self.scale * em * bt**j / factorial(j)
         return total
 
-    def _check_key(self, n, m):
-        if n < 0 or m < 0 or n + m > self.depth:
+    def _key(self, n, m):
+        n, m = _index("n", n), _index("m", m)
+        if n + m > self.depth:
             raise TriangleError(f"entry ({n},{m}) outside depth {self.depth}")
+        return n, m
 
 
 def build_triangle(depth, ratio):
-    """Populate the triangle row by row from the boundary and interior rules."""
-    if depth < 0 or depth > DEPTH_CAP:
+    """Populate the triangle row by row from the boundary and interior rules.
+
+    For r = p/q the coefficients are ints over the scale q^(depth+1).  A
+    coefficient of an entry with n+m = t < depth is then a multiple of
+    q^(depth-t), so r w is the exact p * w // q, and the unit term r that
+    each boundary entry adds is p q^depth.  An integral depth outside
+    [0, DEPTH_CAP] or a non-integral one raises TriangleParameterError.
+    """
+    index = _integral(depth)
+    if index is not None and not 0 <= index <= DEPTH_CAP:
         raise TriangleParameterError("depth", f"depth must be in [0, {DEPTH_CAP}]")
+    depth = _index("depth", depth)
     r = _as_ratio(ratio)
-    zero = Fraction(0)
-    plus = {(0, 0): (r,)}
-    minus = {(0, 0): (-r,)}
+    p, q = r.numerator, r.denominator
+    unit = p * q**depth
+    plus = {(0, 0): (unit,)}
+    minus = {(0, 0): (-unit,)}
     for total in range(1, depth + 1):
         for n in range(total + 1):
             m = total - n
             if m == 0:
                 pp, mm = plus[(n - 1, 0)], minus[(n - 1, 0)]
-                plus[(n, 0)] = tuple(-r * w for w in pp) + (r,)
-                minus[(n, 0)] = tuple(-r * w for w in mm)
+                plus[(n, 0)] = tuple(-p * w // q for w in pp) + (unit,)
+                minus[(n, 0)] = tuple(-p * w // q for w in mm)
             elif n == 0:
                 pp, mm = plus[(0, m - 1)], minus[(0, m - 1)]
-                plus[(0, m)] = tuple(r * w for w in pp)
-                minus[(0, m)] = tuple(r * w for w in mm) + (-r,)
+                plus[(0, m)] = tuple(p * w // q for w in pp)
+                minus[(0, m)] = tuple(p * w // q for w in mm) + (-unit,)
             else:
                 pa, pb = plus[(n, m - 1)], plus[(n - 1, m)]
                 plus[(n, m)] = tuple(
-                    r * (pa[j] - (pb[j] if j < len(pb) else zero))
+                    p * (pa[j] - (pb[j] if j < len(pb) else 0)) // q
                     for j in range(n + 1)
                 )
                 ma, mb = minus[(n, m - 1)], minus[(n - 1, m)]
                 minus[(n, m)] = tuple(
-                    r * ((ma[j] if j < len(ma) else zero) - mb[j])
+                    p * ((ma[j] if j < len(ma) else 0) - mb[j]) // q
                     for j in range(m + 1)
                 )
-    return CoefficientTriangle(depth=depth, ratio=r, _plus=plus, _minus=minus)
+    return CoefficientTriangle(depth=depth, ratio=r, scale=q ** (depth + 1), _plus=plus, _minus=minus)
 
 
 def _index(name, value):
@@ -206,23 +226,21 @@ class _DiagonalSums:
     """Prefix sums of both branches along every diagonal, as scaled ints.
 
     Row (n, m) of a branch holds the sum of the entries (n-k, m-k), k >= 0,
-    each coefficient times `scale`, the common denominator of the triangle.
-    Rows are zero-padded to depth + 2 coefficients, one more than an entry
-    holds, so that every index a column identity reads is in range.
+    in the triangle's scaled ints.  Rows are zero-padded to depth + 2
+    coefficients, one more than an entry holds, so that every index a
+    column identity reads is in range.
     """
 
     def __init__(self, triangle):
-        stores = (triangle._plus, triangle._minus)
-        self.scale = lcm(*(w.denominator for store in stores for row in store.values() for w in row))
+        self.scale = triangle.scale
         self._zero = [0] * (triangle.depth + 2)
         self._rows = ({}, {})
-        for store, rows in zip(stores, self._rows):
+        for store, rows in zip((triangle._plus, triangle._minus), self._rows):
             for total in range(triangle.depth + 1):
                 for n in range(total + 1):
                     m = total - n
-                    entry = [w.numerator * (self.scale // w.denominator) for w in store[(n, m)]]
                     below = rows.get((n - 1, m - 1), self._zero)
-                    rows[(n, m)] = [a + b for a, b in zip_longest(entry, below, fillvalue=0)]
+                    rows[(n, m)] = [a + b for a, b in zip_longest(store[(n, m)], below, fillvalue=0)]
 
     def column(self, branch, n, m, count, j):
         """Scaled coefficient j of sum_{k<count} I(n+k, m+k); branch 0 is +, 1 is -."""
@@ -256,10 +274,13 @@ def column_coefficients(triangle, n, m, order):
 
     Reports the first `order` basis coefficients of each branch together
     with per-coefficient completeness flags (whether the omitted tail can
-    still move the float value; decidable only for |ratio| < 1/2).
+    still move the float value; decidable only for |ratio| < 1/2, so every
+    flag is False for a larger ratio).
     """
-    if order < 1:
-        raise TriangleError("order must be >= 1")
+    n, m = _index("n", n), _index("m", m)
+    if _integral(order) is not None and order < 1:
+        raise TriangleParameterError("order", "order must be >= 1")
+    order = _index("order", order)
     if (n + order) + (m + order) > triangle.depth:
         raise TriangleError("column exceeds triangle depth")
     count = order + 1
@@ -268,17 +289,16 @@ def column_coefficients(triangle, n, m, order):
     minus = [sums.exact(1, n, m, count, j) for j in range(order)]
 
     r = triangle.ratio
-    q = 4.0 * float(r) ** 2
-    flags = []
-    next_plus = {c.j: c.weight for c in closed_form_coefficients((n + count, m + count), r) if c.sign == "+"}
-    next_minus = {c.j: c.weight for c in closed_form_coefficients((n + count, m + count), r) if c.sign == "-"}
-    for j in range(order):
-        if q >= 1.0:
-            flags.append(False)
-            continue
-        tail = (abs(float(next_plus.get(j, 0))) + abs(float(next_minus.get(j, 0)))) / (1.0 - q)
-        base = max(abs(float(plus[j])), abs(float(minus[j])), 1e-300)
-        flags.append(tail <= 1e-15 * base)
+    flags = [False] * order
+    if 2 * abs(r) < 1:
+        q = 4.0 * float(r) ** 2
+        nxt = {(c.sign, c.j): abs(float(c.weight)) for c in closed_form_coefficients((n + count, m + count), r)}
+        for j in range(order):
+            tail = nxt.get(("+", j), 0.0) + nxt.get(("-", j), 0.0)
+            base = max(abs(float(plus[j])), abs(float(minus[j])), 1e-300)
+            # the geometric tail bound tail / (1 - q), multiplied out so that
+            # q rounding to 1.0 leaves the flag False
+            flags[j] = tail <= 1e-15 * base * (1.0 - q)
     return ColumnCoefficients(
         n=n,
         m=m,
@@ -297,6 +317,7 @@ def central_sequence(triangle, order):
     one per index, which is exactly the alignment under which the
     recurrence a_{i+1} = a_{i-1} -+ (d/B) a_i is an exact identity.
     """
+    order = _index("order", order)
     half = triangle.depth // 2
     if order > half:
         raise StabilizationError(

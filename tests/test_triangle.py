@@ -5,6 +5,7 @@ from math import comb, exp, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from instanton_gas import triangle as triangle_module
 from instanton_gas.moments import moment_recursive
 from instanton_gas.potential import WellParameters
 from instanton_gas.triangle import (
@@ -63,13 +64,24 @@ def as_set(coeffs):
 
 
 def corrupted(triangle, sign, key, j, weight):
-    """A copy of the triangle with one coefficient replaced."""
-    plus, minus = dict(triangle._plus), dict(triangle._minus)
+    """A copy of the triangle with one coefficient replaced by the Fraction `weight`.
+
+    The rows hold ints times the scale, so every row and the scale are
+    multiplied by the denominator that `weight` needs; every other
+    coefficient keeps its value.
+    """
+    factor = (weight * triangle.scale).denominator
+    plus, minus = (
+        {k: tuple(w * factor for w in row) for k, row in store.items()}
+        for store in (triangle._plus, triangle._minus)
+    )
     store = plus if sign == "+" else minus
     row = list(store[key])
-    row[j] = weight
+    row[j] = int(weight * triangle.scale * factor)
     store[key] = tuple(row)
-    return CoefficientTriangle(depth=triangle.depth, ratio=triangle.ratio, _plus=plus, _minus=minus)
+    return CoefficientTriangle(
+        depth=triangle.depth, ratio=triangle.ratio, scale=triangle.scale * factor, _plus=plus, _minus=minus
+    )
 
 
 class TestConstruction:
@@ -133,6 +145,27 @@ class TestConstruction:
         with pytest.raises(TriangleError):
             build_triangle(4, 0.4)
 
+    def test_integral_float_depth(self):
+        tri = build_triangle(2.0, Fraction(2, 5))
+        assert tri == build_triangle(2, Fraction(2, 5)) and type(tri.depth) is int
+
+    @pytest.mark.parametrize("call, parameter, message", [
+        (lambda tri: column_coefficients(tri, -1, 0, 2), "n", "n must be a non-negative integer, got -1"),
+        (lambda tri: column_coefficients(tri, 2, -3, 2), "m", "m must be a non-negative integer, got -3"),
+        (lambda tri: column_coefficients(tri, 0, 0, 1.5), "order", "order must be a non-negative integer, got 1.5"),
+        (lambda tri: central_sequence(tri, -1), "order", "order must be a non-negative integer, got -1"),
+        (lambda tri: tri.entry(0.5, 0), "n", "n must be a non-negative integer, got 0.5"),
+        (lambda tri: build_triangle(2.5, Fraction(2, 5)), "depth", "depth must be a non-negative integer, got 2.5"),
+        (lambda tri: build_triangle("2", Fraction(2, 5)), "depth", "depth must be a non-negative integer, got '2'"),
+        (lambda tri: column_coefficients(tri, 0, 0, 0), "order", "order must be >= 1"),
+        (lambda tri: column_coefficients(tri, 0, 0, -1), "order", "order must be >= 1"),
+    ], ids=["column-n", "column-m", "column-order", "central-order", "entry-n", "depth-fraction", "depth-str",
+            "order-zero", "order-negative"])
+    def test_bad_index_names_it(self, call, parameter, message):
+        with pytest.raises(TriangleParameterError) as excinfo:
+            call(build_triangle(12, Fraction(2, 5)))
+        assert str(excinfo.value) == message and excinfo.value.parameter == parameter
+
     def test_basis_coefficient_rejects_floats(self):
         with pytest.raises(TriangleError):
             BasisCoefficient("+", 0, 0.5)
@@ -155,6 +188,19 @@ class TestClosedFormCoefficients:
                 assert as_set(closed_form_coefficients((n, m), r)) == as_set(
                     tri.entry(n, m)
                 )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(-40, 40).filter(bool),
+        st.integers(1, 40),
+        st.integers(0, 24),
+    )
+    def test_every_entry_matches_the_closed_form(self, p, q, depth):
+        r = Fraction(p, q)
+        tri = build_triangle(depth, r)
+        for n in range(depth + 1):
+            for m in range(depth + 1 - n):
+                assert as_set(tri.entry(n, m)) == as_set(closed_form_coefficients((n, m), r))
 
     def test_binomial_structure_2_1(self):
         # the j-ladder of entry (2,1) weights carry C(3-j, 2)
@@ -267,6 +313,31 @@ class TestColumnSums:
         assert len(col.complete) == 4
         with pytest.raises(TriangleError):
             column_coefficients(tri, 4, 4, 3)
+
+    def test_ratio_beyond_float64(self):
+        r = Fraction(10**400)
+        tri = build_triangle(4, r)
+        col = column_coefficients(tri, 0, 0, 1)
+        assert col.complete == (False,)
+        assert col.plus_coeffs == (tri.branch(0, 0, "+")[0] + tri.branch(1, 1, "+")[0],)
+        with pytest.raises(TriangleError, match="beyond float64"):
+            tri.evaluate(0, 0, 1.0, 1.0, 1.0)
+
+    def test_ratio_rounding_to_one_half(self):
+        # float(r) is 0.5, so the float tail factor 1 - 4 r^2 is 0
+        col = column_coefficients(build_triangle(8, Fraction(1, 2) - Fraction(1, 10**30)), 0, 0, 3)
+        assert col.complete == (False, False, False)
+
+    def test_next_entry_taken_once(self, monkeypatch):
+        calls = []
+
+        def counted(key, ratio):
+            calls.append(key)
+            return closed_form_coefficients(key, ratio)
+
+        monkeypatch.setattr(triangle_module, "closed_form_coefficients", counted)
+        column_coefficients(build_triangle(12, Fraction(1, 5)), 1, 0, 4)
+        assert calls == [(6, 5)]
 
     def test_complete_flags(self):
         tri_small = build_triangle(22, Fraction(1, 10))

@@ -1,4 +1,4 @@
-"""In-process time of one gas sum and of one closed-form I(n, m), on two trees.
+"""In-process time of the moment, gas-sum and triangle layers, on two trees.
 
 Usage:
     python3 tools/layer_time.py BASE_TREE CHANGE_TREE
@@ -13,9 +13,11 @@ timeit: autorange picks the number of calls per repeat, and the process
 reports the median of REPEATS repeats per call.  The table gives the median
 of RUNS rounds in microseconds.  The rows are `gas_sum_partial(params, 40)`
 at one near-symmetric point (|d| T = 1.5e-5, the Kummer route) and one
-asymmetric point (|d| T = 1, the closed form in mpmath), and the closed
-form's route alone, `moment_closed` at I(3, 4) and I(20, 20).  Standard
-library only.
+asymmetric point (|d| T = 1, the closed form in mpmath), the closed form's
+route alone, `moment_closed` at I(3, 4) and I(20, 20), and the triangle
+layer, `build_triangle` and `verify_column_relations` at depths 12 and 24
+(ratio 2/5; the verification is timed on a triangle built beforehand).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -33,35 +35,41 @@ from cold_start import copy_sources
 RUNS = 9
 REPEATS = 5
 
-# Label, timed call and (omega0, omega1, B, T) of each row; the call reads
-# `params`, the WellParameters of the row.
+# Label, set-up statement and timed call of each row.
+_WELL = "params = WellParameters(omega0={}, omega1={}, B={}, T={})"
 ROWS = (
-    ("gas_sum_partial, near-symmetric (2.00001, 2, B 0.5, T 3)", "spectrum.gas_sum_partial(params, 40)",
-     (2.00001, 2.0, 0.5, 3.0)),
-    ("gas_sum_partial, asymmetric (1, 2, B 0.3, T 2)", "spectrum.gas_sum_partial(params, 40)",
-     (1.0, 2.0, 0.3, 2.0)),
-    ("moment_closed I(3, 4) (1, 2.3, B 0.5, T 3)", "moments.moment_closed((3, 4), params)",
-     (1.0, 2.3, 0.5, 3.0)),
-    ("moment_closed I(20, 20) (1, 2.3, B 0.5, T 3)", "moments.moment_closed((20, 20), params)",
-     (1.0, 2.3, 0.5, 3.0)),
+    ("gas_sum_partial, near-symmetric (2.00001, 2, B 0.5, T 3)", _WELL.format(2.00001, 2.0, 0.5, 3.0),
+     "spectrum.gas_sum_partial(params, 40)"),
+    ("gas_sum_partial, asymmetric (1, 2, B 0.3, T 2)", _WELL.format(1.0, 2.0, 0.3, 2.0),
+     "spectrum.gas_sum_partial(params, 40)"),
+    ("moment_closed I(3, 4) (1, 2.3, B 0.5, T 3)", _WELL.format(1.0, 2.3, 0.5, 3.0),
+     "moments.moment_closed((3, 4), params)"),
+    ("moment_closed I(20, 20) (1, 2.3, B 0.5, T 3)", _WELL.format(1.0, 2.3, 0.5, 3.0),
+     "moments.moment_closed((20, 20), params)"),
+    *((f"build_triangle depth {depth}, ratio 2/5", "", f"triangle.build_triangle({depth}, Fraction(2, 5))")
+      for depth in (12, 24)),
+    *((f"verify_column_relations depth {depth}, ratio 2/5",
+       f"tri = triangle.build_triangle({depth}, Fraction(2, 5))", "triangle.verify_column_relations(tri)")
+      for depth in (12, 24)),
 )
 
 _CHILD = f"""
 import statistics, sys, timeit
-from instanton_gas import moments, spectrum
+from fractions import Fraction
+from instanton_gas import moments, spectrum, triangle
 from instanton_gas.potential import WellParameters
-w0, w1, b, t = map(float, sys.argv[2:])
-params = WellParameters(omega0=w0, omega1=w1, T=t, B=b)
-timer = timeit.Timer(sys.argv[1], globals=dict(moments=moments, spectrum=spectrum, params=params))
+names = dict(moments=moments, spectrum=spectrum, triangle=triangle, WellParameters=WellParameters, Fraction=Fraction)
+exec(sys.argv[1], names)
+timer = timeit.Timer(sys.argv[2], globals=names)
 timer.timeit(1)
 number, _ = timer.autorange()
 print(statistics.median(timer.repeat({REPEATS}, number)) / number * 1e6)
 """
 
 
-def call_us(call, point, env):
-    """Microseconds per call at the point in a fresh process."""
-    argv = [sys.executable, "-c", _CHILD, call, *map(repr, point)]
+def call_us(setup, call, env):
+    """Microseconds per call, after the set-up, in a fresh process."""
+    argv = [sys.executable, "-c", _CHILD, setup, call]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"the timing process exited {proc.returncode}:\n{proc.stderr}")
@@ -83,8 +91,8 @@ def main(argv=None):
                 for i, tree in enumerate(trees)]
         for run in range(RUNS):
             for side in ((0, 1) if run % 2 == 0 else (1, 0)):
-                for label, call, point in ROWS:
-                    times[side][label].append(call_us(call, point, envs[side]))
+                for label, setup, call in ROWS:
+                    times[side][label].append(call_us(setup, call, envs[side]))
 
     print(f"us per call; median of {RUNS} rounds")
     print(f"| call | {args.base} | {args.change} |")
