@@ -39,16 +39,25 @@ series instead,
 
 with p = n for d >= 0 and p = m otherwise (DLMF 13.4.1, and Kummer's
 transformation 13.2.39 for d < 0): every term is positive, so nothing
-cancels, and the series needs plain floats only.  At d = 0, the paper's
-symmetric limit, the series is (BT)^N/N! alone: moment_kummer is the
+cancels, and the series needs plain floats only.  On the diagonal, whose
+terms the gas sum adds, a = i+1 and b = 2i+2 = 2a, and Kummer's second
+transformation (DLMF 13.6.9 with the Bessel series 10.25.2) gives
+
+    I(i,i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2),   N = 2i+1,
+
+a series even in d whose terms fall by (|d|T/4)^2/((i+3/2+k)(k+1)), so
+it needs about half as many as M.  At d = 0, the paper's symmetric limit,
+both series are 1 and I is (BT)^N/N! alone: moment_kummer is the
 evaluator there too.  No route loads scipy.
 
 Every route forms the full value, stripped e^(-(w0+w1)T/4), by _damped,
 which scales the mantissa instead where that factor is subnormal or 0.
 The gas sum's terms come from _diagonal alone: it takes the route once,
-by _kummer_route, skips terms below float64, and below the threshold runs
-the Kummer kernel, _kummer_stripped, with the per-sum invariants taken
-once; its terms are bit-identical to multi_instanton's.
+by _kummer_route, skips terms below float64 by a bound read from tables
+of ln k!, and below the threshold runs the diagonal kernel,
+_kummer_diagonal, with its basis and the damping factor taken once per
+sum.  The same kernel serves multi_instanton and moment_kummer at n = m,
+so the three give the same bits.
 """
 
 from __future__ import annotations
@@ -88,6 +97,11 @@ _KUMMER_DT = 0.1
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+# ln k! as math.lgamma(k + 1) gives it, and k! as a float, for every k up to
+# N = 2 DEPTH_CAP + 1: the bounds and the Kummer kernels read these tables
+# instead of calling lgamma or factorial per term, with the same bits.
+_LOG_FACTORIAL = tuple(lgamma(k + 1) for k in range(2 * DEPTH_CAP + 2))
+_FACTORIAL = tuple(float(factorial(k)) for k in range(2 * DEPTH_CAP + 2))
 
 _METHODS = ("closed", "recursive", "quadrature", "kummer")
 
@@ -189,6 +203,13 @@ def prefactor(params):
     return exp(-_decay(params))
 
 
+def _plain_factor(x):
+    """e^(-x) where _damped multiplies by it: where it is a normal float, or
+    where x is so large that any product with it rounds to 0; else None."""
+    factor = exp(-x)
+    return factor if factor >= sys.float_info.min or x > _DAMPED_TO_ZERO else None
+
+
 def _damped(stripped, x):
     """stripped e^(-x) for x >= 0: a full value from its stripped one.
 
@@ -197,8 +218,8 @@ def _damped(stripped, x):
     mantissa of stripped is scaled by e^(-(x - k ln 2)) instead, and ldexp
     applies the power of two last.
     """
-    factor = exp(-x)
-    if factor >= sys.float_info.min or x > _DAMPED_TO_ZERO:
+    factor = _plain_factor(x)
+    if factor is not None:
         return stripped * factor
     k = round(x / _LN2)
     mantissa, exponent = frexp(stripped)
@@ -237,8 +258,8 @@ def _log_stripped_lower(n, m, logs):
     return (
         (n + m + 1) * log_b
         + excess
-        + q * log_half_t - lgamma(q + 1)
-        + (p + 1) * log_stretch - lgamma(p + 2)
+        + q * log_half_t - _LOG_FACTORIAL[q]
+        + (p + 1) * log_stretch - _LOG_FACTORIAL[p + 1]
     )
 
 
@@ -250,11 +271,14 @@ def _below_float64(i, logs):
     ln I(i, i) <= N ln(BT) - ln N! + |d|T/2 - (w0+w1)T/4.  Bounding both
     polynomial factors by T^i/i! and integrating e^(d t) alone gives the
     other bound, N ln B + 2i ln T - 2 ln i! - ln|d| + |d|T/2 - (w0+w1)T/4,
-    the smaller one when |d| is large (and +inf at d = 0).
+    the smaller one when |d| is large (and +inf at d = 0).  The log
+    factorials come from _LOG_FACTORIAL, with the bits of lgamma.
     """
     log_b, log_t, log_d, _, _, log_shift = logs
     n = 2 * i + 1
-    bound = min(n * (log_b + log_t) - lgamma(n + 1), n * log_b + 2 * i * log_t - 2 * lgamma(i + 1) - log_d)
+    bound = min(
+        n * (log_b + log_t) - _LOG_FACTORIAL[n], n * log_b + 2 * i * log_t - 2 * _LOG_FACTORIAL[i] - log_d
+    )
     return bound + log_shift < _LOG_TINIEST
 
 
@@ -494,11 +518,38 @@ def _kummer_stripped(n, m, basis):
         term *= (a + k) / (big_n + 1 + k) * z / (k + 1)
         series += term
         k += 1
-    mantissa = mb**big_n * mt**big_n / factorial(big_n) * (e_half * series)
+    mantissa = mb**big_n * mt**big_n / _FACTORIAL[big_n] * (e_half * series)
     try:
         return ldexp(mantissa, big_n * (eb + et))
     except OverflowError:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
+
+
+def _kummer_diagonal(i, basis):
+    """Stripped I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2), N = 2i+1, from
+    _kummer_basis.
+
+    Each term of 0F1 is the one before times x/((i+3/2+k)(k+1)), with
+    x = (|d|T/4)^2 < 6.25e-4 on the Kummer route, so about five terms reach
+    the float64 rounding; at d = 0 the series is 1 and the result has the
+    bits of (BT)^N/N! that _kummer_stripped gives.  Raises MomentError, from
+    the ldexp, when the result exceeds float64."""
+    z, _, mb, eb, mt, et, _ = basis
+    x = (z / 4.0) ** 2
+    big_n = 2 * i + 1
+    b = i + 1.5
+    term = series = 1.0
+    k = 1
+    while term > 1e-17 * series:
+        term *= x / (b * k)
+        series += term
+        b += 1.0
+        k += 1
+    mantissa = mb**big_n * mt**big_n / _FACTORIAL[big_n] * series
+    try:
+        return ldexp(mantissa, big_n * (eb + et))
+    except OverflowError:
+        raise MomentError(f"stripped I({i}, {i}) exceeds float64") from None
 
 
 def moment_kummer(key, params):
@@ -511,10 +562,14 @@ def moment_kummer(key, params):
 
     Every term of M is positive and at most z times the one before, so the
     sum neither cancels nor needs more than a dozen terms; at delta = 0 it
-    is 1.  (BT)^N is formed as mantissas and a power of two, so that no
-    factor leaves the float64 range before the result does.  B = 0 gives 0;
-    MomentError is raised when the stripped value exceeds float64, and
-    MomentParameterError naming delta when |delta| T >= 0.1.
+    is 1.  On the diagonal n = m the same value is summed as
+    (BT)^N/N! 0F1(; n+3/2; (z/4)^2) by _kummer_diagonal, through Kummer's
+    second transformation e^(-z/2) M(a, 2a, z) = 0F1(; a+1/2; z^2/16)
+    (DLMF 13.6.9 with 10.25.2), whose terms fall twice as fast.  (BT)^N is
+    formed as mantissas and a power of two, so that no factor leaves the
+    float64 range before the result does.  B = 0 gives 0; MomentError is
+    raised when the stripped value exceeds float64, and MomentParameterError
+    naming delta when |delta| T >= 0.1.
     """
     key = _as_key(key)
     n, m = key.n, key.m
@@ -525,7 +580,8 @@ def moment_kummer(key, params):
         )
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "kummer")
-    stripped = _kummer_stripped(n, m, _kummer_basis(params))
+    basis = _kummer_basis(params)
+    stripped = _kummer_diagonal(n, basis) if n == m else _kummer_stripped(n, m, basis)
     return MomentValue(stripped, _damped(stripped, _decay(params)), "kummer")
 
 
@@ -553,8 +609,9 @@ def _diagonal(params):
     The route is taken once, by _kummer_route.  A term for which
     _below_float64 holds is 0.0 without being evaluated; every other term
     is multi_instanton(i, params).full, bit for bit.  Below the threshold
-    the Kummer basis and the decay are taken once per sum and each term
-    runs _kummer_stripped; above it each term is a call of the module's
+    the Kummer basis and the damping factor e^(-(w0+w1)T/4)
+    are taken once per sum, and _damped runs only where that factor is
+    subnormal; above it each term is a call of the module's
     multi_instanton, so that a rebinding of it (the benchmark's tracer
     makes one) is seen.  A caller that stops early evaluates no further
     term; MomentError is raised at the first term that exceeds float64.
@@ -563,11 +620,13 @@ def _diagonal(params):
     kummer = _kummer_route(params)
     if kummer:
         basis, x = _kummer_basis(params), _decay(params)
+        factor = _plain_factor(x)
     for i in range(DEPTH_CAP + 1):
         if logs is not None and _below_float64(i, logs):
             yield 0.0
         elif kummer:
-            yield _damped(_kummer_stripped(i, i, basis), x)
+            stripped = _kummer_diagonal(i, basis)
+            yield stripped * factor if factor is not None else _damped(stripped, x)
         else:
             yield multi_instanton(i, params).full
 

@@ -114,6 +114,10 @@ class CoefficientTriangle:
         ]
 
     def branch(self, n, m, sign):
+        """Coefficients of I(n, m) on the e^(sign dT/2) branch, index j for
+        (BT)^j/j!; a sign other than '+' or '-' raises TriangleParameterError."""
+        if sign not in _SIGNS:
+            raise TriangleParameterError("sign", f"sign must be '+' or '-', got {sign!r}")
         store = self._plus if sign == "+" else self._minus
         return tuple(Fraction(w, self.scale) for w in store[self._key(n, m)])
 
@@ -122,7 +126,8 @@ class CoefficientTriangle:
 
         B/delta must match the construction ratio (checked loosely: the
         caller usually holds floats); delta = 0 raises TriangleParameterError,
-        and a ratio beyond float64 raises TriangleError.
+        and a ratio, a coefficient, e^(+-dT/2) or a power (BT)^j beyond
+        float64 raises TriangleError.
         """
         if delta == 0:
             raise TriangleParameterError("delta", "delta must be nonzero: B/delta is the triangle ratio")
@@ -133,13 +138,16 @@ class CoefficientTriangle:
         if abs(B / delta - ratio) > 1e-9 * abs(ratio):
             raise TriangleError("B/delta does not match the triangle ratio")
         key = self._key(n, m)
-        ep, em = exp(delta * T / 2.0), exp(-delta * T / 2.0)
         bt = B * T
         total = 0.0
-        for j, w in enumerate(self._plus[key]):
-            total += w / self.scale * ep * bt**j / factorial(j)
-        for j, w in enumerate(self._minus[key]):
-            total += w / self.scale * em * bt**j / factorial(j)
+        try:
+            ep, em = exp(delta * T / 2.0), exp(-delta * T / 2.0)
+            for j, w in enumerate(self._plus[key]):
+                total += w / self.scale * ep * bt**j / factorial(j)
+            for j, w in enumerate(self._minus[key]):
+                total += w / self.scale * em * bt**j / factorial(j)
+        except OverflowError:
+            raise TriangleError(f"a term of I({n}, {m}) is beyond float64") from None
         return total
 
     def _key(self, n, m):

@@ -355,6 +355,109 @@ def test_kummer_against_50_digits(n, m, delta_t, sign, T, B):
     assert abs(value.stripped - reference) <= 1e-14 * reference + 5e-324
 
 
+def kummer_symmetric_limit(i, B, T):
+    """Stripped I(i, i) at delta = 0 as _kummer_stripped forms it: (BT)^N/N!
+    from the mantissas of B and T and one power of two, N = 2i+1."""
+    big_n = 2 * i + 1
+    mb, eb = math.frexp(B)
+    mt, et = math.frexp(T)
+    return math.ldexp(mb**big_n * mt**big_n / factorial(big_n) * (1.0 * 1.0), big_n * (eb + et))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    i=st.integers(0, 64),
+    delta_t=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 0.1, exclude_max=True),
+        st.floats(1e-12, 1e-3),
+        st.just(math.nextafter(0.1, 0.0)),
+    ),
+    sign=st.sampled_from((-1.0, 1.0)),
+    T=st.floats(0.1, 30.0),
+    BT=st.floats(1e-3, 300.0),
+)
+@example(i=64, delta_t=math.nextafter(0.1, 0.0), sign=1.0, T=2.0, BT=300.0)
+@example(i=0, delta_t=0.0999, sign=-1.0, T=0.1, BT=1e-3)
+def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
+    params = well(sign * delta_t / T, T, BT / T)
+    if not abs(params.delta) * T < 0.1:  # delta rounded up across the domain's edge
+        return
+    big_n = 2 * i + 1
+    with mp.workdps(50):
+        bt = mp.mpf(params.B) * mp.mpf(T)
+        z = abs(mp.mpf(params.delta)) * mp.mpf(T)
+        # Kummer's second transformation: e^(-z/2) M(i+1, 2i+2, z) = 0F1(; i+3/2; z^2/16)
+        lead = bt**big_n / mp.factorial(big_n)
+        reference = lead * mp.hyp0f1(i + mp.mpf(3) / 2, (z / 4) ** 2)
+        kummer = lead * mp.exp(-z / 2) * mp.hyp1f1(i + 1, big_n + 1, z)
+        assert abs(reference - kummer) <= mp.mpf(10) ** -40 * reference
+    value = moment_kummer((i, i), params)
+    assert abs(value.stripped - reference) <= 1e-14 * reference + 5e-324
+    assert value.full.hex() == multi_instanton(i, params).full.hex()
+    if params.delta == 0.0:
+        assert value.stripped.hex() == kummer_symmetric_limit(i, params.B, T).hex()
+
+
+@pytest.mark.parametrize("i", [0, 1, 7, 40, 64])
+@pytest.mark.parametrize("B, T", [(0.7, 2.0), (0.5, 3.0), (1e-3, 900.0), (150.0, 2.0), (0.0005325570569768075, 78.7)])
+def test_kummer_diagonal_at_zero_delta_is_the_symmetric_limit(i, B, T):
+    params = WellParameters(omega0=1.5, omega1=1.5, T=T, B=B)
+    assert moment_kummer((i, i), params).stripped.hex() == kummer_symmetric_limit(i, B, T).hex()
+    assert moments._kummer_diagonal(i, moments._kummer_basis(params)).hex() == kummer_symmetric_limit(i, B, T).hex()
+
+
+def below_float64_by_lgamma(i, logs):
+    """moments._below_float64 with its log factorials from one math.lgamma call each."""
+    log_b, log_t, log_d, _, _, log_shift = logs
+    n = 2 * i + 1
+    bound = min(n * (log_b + log_t) - math.lgamma(n + 1), n * log_b + 2 * i * log_t - 2 * math.lgamma(i + 1) - log_d)
+    return bound + log_shift < moments._LOG_TINIEST
+
+
+def skips(below, params):
+    logs = moments._bound_logs(params)
+    return [below(i, logs) for i in range(moments.DEPTH_CAP + 1)]
+
+
+class TestSkipBound:
+    """_below_float64 reads its log factorials from a table; the skip flips at the same i as with lgamma."""
+
+    def test_tables_hold_the_bits_of_the_calls(self):
+        for k in range(2 * moments.DEPTH_CAP + 2):
+            assert moments._LOG_FACTORIAL[k].hex() == math.lgamma(k + 1).hex()
+            assert moments._FACTORIAL[k].hex() == float(factorial(k)).hex()
+
+    def test_sweep_grid(self):
+        for params in sweep_grid():
+            assert skips(moments._below_float64, params) == skips(below_float64_by_lgamma, params)
+
+    @pytest.mark.parametrize("params, skipped", [
+        (WellParameters(omega0=2.0, omega1=2.0, T=1e4, B=0.5), 65),  # every term skipped
+        (WellParameters(omega0=2.0, omega1=2.0, T=1000.0, B=1.0), None),  # leading terms skipped
+    ])
+    def test_skipped_examples(self, params, skipped):
+        flags = skips(moments._below_float64, params)
+        assert flags == skips(below_float64_by_lgamma, params)
+        if skipped is None:
+            assert flags[0] and not all(flags)
+        else:
+            assert sum(flags) == skipped
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        B=st.floats(1e-3, 10.0),
+        T=st.floats(1e-3, 1e4),
+        delta_t=st.floats(0.0, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+        omega=st.floats(1e-3, 4.0),
+    )
+    def test_random_wells(self, B, T, delta_t, sign, omega):
+        delta = sign * delta_t / T
+        params = WellParameters(omega0=omega + 2.0 * max(delta, 0.0), omega1=omega + 2.0 * max(-delta, 0.0), T=T, B=B)
+        assert skips(moments._below_float64, params) == skips(below_float64_by_lgamma, params)
+
+
 class TestSymmetric:
     """The paper's symmetric limit, omega0 == omega1, where moment_kummer is the evaluator."""
 

@@ -358,7 +358,7 @@ class TestParameterErrors:
 
         # the per-term evaluations of moments._diagonal on either route
         monkeypatch.setattr(moments, "multi_instanton", no_terms)
-        monkeypatch.setattr(moments, "_kummer_stripped", no_terms)
+        monkeypatch.setattr(moments, "_kummer_diagonal", no_terms)
         for params in (P_EXAMPLE, P_NEAR):  # the closed and the Kummer route
             with pytest.raises(SpectrumParameterError, match=message) as excinfo:
                 gas_sum_partial(params, n_terms)

@@ -137,6 +137,27 @@ class TestConstruction:
             build_triangle(4, Fraction(-3, 5)).evaluate(1, 1, 0.3, delta, 2.0)
         assert excinfo.value.parameter == "delta"
 
+    # a coefficient over the scale, e^(dT/2) and (BT)^24 (its coefficients fit) beyond float64
+    @pytest.mark.parametrize("depth, key, ratio, B, delta, T", [
+        (6, (3, 3), 10**300, 1e300, 1.0, 1.0),
+        (6, (3, 3), 1, 1.0, 1.0, 2000.0),
+        (24, (0, 24), 10**10, 1e10, 1.0, 1000.0),
+    ])
+    def test_evaluate_beyond_float64_is_triangle_error(self, depth, key, ratio, B, delta, T):
+        with pytest.raises(TriangleError, match=r"a term of I\(\d+, \d+\) is beyond float64"):
+            build_triangle(depth, Fraction(ratio)).evaluate(*key, B, delta, T)
+
+    @pytest.mark.parametrize("sign", ["x", "", None, "+-"])
+    def test_branch_refuses_unknown_sign(self, sign):
+        with pytest.raises(TriangleParameterError, match="sign must be") as excinfo:
+            build_triangle(6, Fraction(2, 5)).branch(0, 0, sign)
+        assert excinfo.value.parameter == "sign"
+
+    def test_branch_of_each_sign(self):
+        tri = build_triangle(6, Fraction(2, 5))
+        assert tri.branch(0, 0, "+") == (Fraction(2, 5),)
+        assert tri.branch(0, 0, "-") == (Fraction(-2, 5),)
+
     def test_depth_cap_and_ratio_validation(self):
         with pytest.raises(TriangleError):
             build_triangle(25, Fraction(1, 2))

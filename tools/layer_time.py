@@ -12,10 +12,10 @@ untimed call (which loads what the call imports), and times the call with
 timeit: autorange picks the number of calls per repeat, and the process
 reports the median of REPEATS repeats per call.  The table gives the median
 of RUNS rounds in microseconds.  The rows are `gas_sum_partial(params, 40)`
-at one near-symmetric point (|d| T = 1.5e-5, the Kummer route) and one
-asymmetric point (|d| T = 1, the closed form in mpmath), the closed form's
-route alone, `moment_closed` at I(3, 4) and I(20, 20), and the triangle
-layer, `build_triangle` and `verify_column_relations` at depths 12 and 24
+at two near-symmetric points (|d| T = 1.5e-5, and 0.09, where the Kummer
+route's series are longest) and one asymmetric point (|d| T = 1, the
+closed form in mpmath), the closed form's route alone, `moment_closed` at
+I(3, 4) and I(20, 20), and the triangle layer, `build_triangle` and `verify_column_relations` at depths 12 and 24
 (ratio 2/5; the verification is timed on a triangle built beforehand).
 Standard library only.
 """
@@ -39,6 +39,8 @@ REPEATS = 5
 _WELL = "params = WellParameters(omega0={}, omega1={}, B={}, T={})"
 ROWS = (
     ("gas_sum_partial, near-symmetric (2.00001, 2, B 0.5, T 3)", _WELL.format(2.00001, 2.0, 0.5, 3.0),
+     "spectrum.gas_sum_partial(params, 40)"),
+    ("gas_sum_partial, near-symmetric (2.06, 2, B 0.5, T 3)", _WELL.format(2.06, 2.0, 0.5, 3.0),
      "spectrum.gas_sum_partial(params, 40)"),
     ("gas_sum_partial, asymmetric (1, 2, B 0.3, T 2)", _WELL.format(1.0, 2.0, 0.3, 2.0),
      "spectrum.gas_sum_partial(params, 40)"),
