@@ -16,14 +16,18 @@ The gap is a difference of two eigenvalues of a matrix whose norm is about
 symmetric wells lose their gap from lam ~ 130 on.
 
 numpy is imported by the functions that compute with it, so importing the
-module for its grid defaults loads no numpy.  The solver calls the compiled
-`dstebz` of scipy's LAPACK wrapper, scipy.linalg._flapack, which it loads on
-first use without running the scipy.linalg package and its imports.
+module for its grid defaults loads no numpy.  The solver calls the Fortran
+`dstebz` that scipy's LAPACK wrapper, scipy.linalg._flapack, is built on,
+through ctypes, which releases the GIL for the call; the wrapper is loaded
+on first use without running the scipy.linalg package and its imports.  So
+numeric_gap solves its two grids at once, the coarse one in a second
+thread, with the bits of one grid after the other.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import PathFinder
@@ -234,15 +238,52 @@ def _dstebz():
     return module.dstebz
 
 
+_LOAD_LOCK = threading.Lock()
+
+
+@cache
+def _dstebz_routine():
+    """The Fortran dstebz behind _dstebz(), as a ctypes function.
+
+    f2py keeps the routine's address in the wrapper's `_cpointer` capsule.
+    ctypes releases the GIL while the routine runs, where the wrapper holds
+    it.  The integers are LP64, as in scipy's wrapper, and the two trailing
+    arguments are the hidden lengths of the character arguments RANGE and
+    ORDER.  Threads whose first solves meet, as numeric_gap's two do, load
+    the extension once: _dstebz() is called under a lock.
+    """
+    from ctypes import (
+        CFUNCTYPE, POINTER, PYFUNCTYPE, c_char_p, c_double, c_int, c_size_t, c_void_p, py_object, pythonapi,
+    )
+
+    capsule_pointer = PYFUNCTYPE(c_void_p, py_object, c_char_p)(("PyCapsule_GetPointer", pythonapi))
+    int_p, double_p, array = POINTER(c_int), POINTER(c_double), c_void_p
+    prototype = CFUNCTYPE(
+        None,
+        c_char_p, c_char_p, int_p,  # RANGE, ORDER, N
+        double_p, double_p, int_p, int_p, double_p,  # VL, VU, IL, IU, ABSTOL
+        array, array,  # D, E
+        int_p, int_p,  # M, NSPLIT
+        array, array, array, array, array,  # W, IBLOCK, ISPLIT, WORK, IWORK
+        int_p,  # INFO
+        c_size_t, c_size_t,
+    )
+    with _LOAD_LOCK:
+        wrapper = _dstebz()
+    return prototype(capsule_pointer(wrapper._cpointer, None))
+
+
 def lowest_eigenvalues(operator, count):
     """The `count` smallest eigenvalues by LAPACK bisection (`dstebz`).
 
-    The arguments are those scipy.linalg.eigh_tridiagonal passes with
-    select="i" and lapack_driver="stebz", so the eigenvalues are the same
-    bits.  Each eigenvalue is bisected to absolute width EIGENVALUE_TOL;
-    eigenvalues of the irreducible operator are simple, so the returned
-    list of floats is strictly increasing.  A LAPACK error or a short
-    result raises SolverError.
+    The routine gets the arguments that scipy.linalg.eigh_tridiagonal
+    passes with select="i" and lapack_driver="stebz": range "I", il..iu =
+    1..count, and order "E", which sorts the whole matrix.  So the
+    eigenvalues are the same bits.  Each eigenvalue is bisected to absolute
+    width EIGENVALUE_TOL; eigenvalues of the irreducible operator are
+    simple, so the returned list of floats is strictly increasing.  The
+    routine runs without the GIL, on buffers of its own call, so threads
+    may solve at once.  A LAPACK error or a short result raises SolverError.
     """
     if count < 1 or count > 4:
         raise SolverError("count must be between 1 and 4")
@@ -250,16 +291,26 @@ def lowest_eigenvalues(operator, count):
         raise BracketError(
             f"cannot find {count} eigenvalues of a {operator.size}-row operator"
         )
-    if operator.size == 1:
-        # the wrapper refuses an empty off-diagonal; a 1x1 matrix is its own eigenvalue
-        return [float(operator.diagonal[0])]
+    from ctypes import byref, c_double, c_int
+
     import numpy as np
 
-    off = np.full(operator.size - 1, operator.off_diagonal)
-    # range 2 selects by index, il..iu = 1..count; order "E" sorts the whole matrix
-    found, eigs, _, _, info = _dstebz()(
-        operator.diagonal, off, 2, 0.0, 0.0, 1, count, EIGENVALUE_TOL, "E",
+    d = np.ascontiguousarray(operator.diagonal, dtype=float)
+    n = len(d)
+    off = np.full(n - 1, operator.off_diagonal)
+    eigs = np.empty(n)
+    iblock, isplit = np.empty(n, np.intc), np.empty(n, np.intc)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
+    found, nsplit, info = c_int(), c_int(), c_int()
+    _dstebz_routine()(
+        b"I", b"E", byref(c_int(n)),
+        byref(c_double(0.0)), byref(c_double(0.0)), byref(c_int(1)), byref(c_int(count)),
+        byref(c_double(EIGENVALUE_TOL)),
+        d.ctypes.data, off.ctypes.data, byref(found), byref(nsplit),
+        eigs.ctypes.data, iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+        byref(info), 1, 1,
     )
+    found, info = found.value, info.value
     if info != 0 or found != count:
         raise SolverError(f"stebz returned info {info} with {found} of {count} eigenvalues")
     return eigs[:found].tolist()
@@ -272,19 +323,42 @@ class GapEstimate(NamedTuple):
     error_estimate: float
 
 
+def _solve_into(operator, outcome):
+    """Thread target: append the two lowest eigenvalues of operator, or the error raised."""
+    try:
+        outcome.append(lowest_eigenvalues(operator, 2))
+    except BaseException as exc:  # handed to the joining thread, which raises it
+        outcome.append(exc)
+
+
 def numeric_gap(potential, grid, min_boundary_potential=None):
     """Doublet gap E1 - E0 with a Richardson error estimate.
 
     Solves on the given grid and on the spacing-halved grid; the returned
     gap is the fine-grid value and the error estimate (gap_fine -
     gap_coarse)/3 follows from the second-order convergence of the stencil.
+    The coarse operator is solved in a second thread while this one
+    discretizes and solves the fine grid; the solver releases the GIL, so
+    the two solves overlap.  Each solve is the one a sequential run would
+    make, so the results are the same bits, and an error is the first one
+    that order would meet: coarse discretization, coarse solve, fine
+    discretization, fine solve.
     """
-    gaps = []
-    for g in (grid, grid.refined()):
-        op = discretize(potential, g, min_boundary_potential)
-        e0, e1 = lowest_eigenvalues(op, 2)
-        gaps.append(e1 - e0)
-    return GapEstimate(gaps[1], abs(gaps[1] - gaps[0]) / 3.0)
+    fine_grid = grid.refined()
+    coarse = discretize(potential, grid, min_boundary_potential)
+    outcome = []
+    worker = threading.Thread(target=_solve_into, args=(coarse, outcome), name="numeric_gap coarse solve")
+    worker.start()
+    try:
+        e0, e1 = lowest_eigenvalues(discretize(potential, fine_grid, min_boundary_potential), 2)
+    finally:
+        worker.join()
+        coarse_result = outcome[0]
+        if isinstance(coarse_result, BaseException):
+            raise coarse_result
+    c0, c1 = coarse_result
+    fine_gap, coarse_gap = e1 - e0, c1 - c0
+    return GapEstimate(fine_gap, abs(fine_gap - coarse_gap) / 3.0)
 
 
 def benchmark_potential(lam, b):

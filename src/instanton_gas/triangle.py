@@ -127,7 +127,8 @@ class CoefficientTriangle:
         B/delta must match the construction ratio (checked loosely: the
         caller usually holds floats); delta = 0 raises TriangleParameterError,
         and a ratio, a coefficient, e^(+-dT/2) or a power (BT)^j beyond
-        float64 raises TriangleError.
+        float64 raises TriangleError, as does a B T or delta T that is not
+        finite.
         """
         if delta == 0:
             raise TriangleParameterError("delta", "delta must be nonzero: B/delta is the triangle ratio")
@@ -138,10 +139,13 @@ class CoefficientTriangle:
         if abs(B / delta - ratio) > 1e-9 * abs(ratio):
             raise TriangleError("B/delta does not match the triangle ratio")
         key = self._key(n, m)
-        bt = B * T
+        bt, dt = B * T, delta * T
+        if not (isfinite(bt) and isfinite(dt)):
+            # exp(inf) and inf ** j raise no OverflowError: the sum would be inf or nan
+            raise TriangleError(f"B T and delta T must be finite, got {bt!r} and {dt!r}")
         total = 0.0
         try:
-            ep, em = exp(delta * T / 2.0), exp(-delta * T / 2.0)
+            ep, em = exp(dt / 2.0), exp(-dt / 2.0)
             for j, w in enumerate(self._plus[key]):
                 total += w / self.scale * ep * bt**j / factorial(j)
             for j, w in enumerate(self._minus[key]):

@@ -27,7 +27,7 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "mpmath", "scipy", "instanton_gas"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 _WELL = ("--omega0", "1", "--omega1", "2", "--B", "0.3")
@@ -41,11 +41,11 @@ def fresh(*args):
     )
 
 
-def loaded(*argv):
-    """numpy, mpmath, scipy and package modules loaded after importing the CLI and running argv, if given."""
+def loaded(*argv, roots=("numpy", "mpmath", "scipy", "instanton_gas")):
+    """Modules under roots loaded after importing the CLI and running argv, if given."""
     proc = fresh("-c", _SCRIPT, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return {m for m in json.loads(proc.stdout) if m.split(".")[0] in roots}
 
 
 def heavy_loaded(*argv):
@@ -91,15 +91,24 @@ def test_closed_form_commands_leave_scipy_unloaded(argv):
     assert scipy_loaded(*argv) == set()
 
 
-@pytest.mark.parametrize("argv", [
+grid_commands = pytest.mark.parametrize("argv", [
     ("benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3"),
     ("scaling", "--b", "0", "--lambdas", "4,6,8", "--points", "2001"),
 ], ids=["benchmark", "scaling"])
+
+
+@grid_commands
 def test_grid_commands_load_flapack_not_linalg_package_or_integrate(argv):
     loaded = heavy_loaded(*argv)
     assert "numpy" in loaded
     assert {m for m in loaded if m.startswith("scipy.linalg")} == {"scipy.linalg._flapack"}
     assert "scipy.integrate" not in loaded
+
+
+@grid_commands
+def test_grid_commands_load_no_concurrent_futures(argv):
+    # numeric_gap solves its coarse grid in one plain thread, with no executor to import
+    assert loaded(*argv, roots=("concurrent",)) == set()
 
 
 _SOLVE_AROUND_LINALG = """
@@ -144,6 +153,20 @@ def test_linalg_imported_after_a_solve_has_its_flapack_attribute():
     # must not keep it from doing so
     proc = fresh("-c", _LINALG_AFTER_SOLVE)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
+
+
+_FIRST_GAP = """
+import sys
+from instanton_gas import schrodinger
+schrodinger.numeric_gap(schrodinger.benchmark_potential(16.0, 0.0), schrodinger.DEFAULT_GRID)
+print(schrodinger._dstebz.cache_info().misses, sys.meta_path.count(schrodinger._FlapackHandover))
+"""
+
+
+def test_first_gap_loads_flapack_once():
+    # the two threads of the first numeric_gap reach the solver together; one of them loads the extension
+    proc = fresh("-c", _FIRST_GAP)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -159,7 +161,13 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("found, info", [(1, 0), (2, 4)], ids=["short", "info"])
     def test_lapack_failure_is_solver_error(self, monkeypatch, found, info):
-        monkeypatch.setattr(schrodinger, "_dstebz", lambda: lambda d, *args: (found, d.copy(), None, None, info))
+        def stebz(*args):
+            # M and INFO, the 11th and 18th arguments of LAPACK's DSTEBZ, are its integer outputs
+            args[10][0], args[17][0] = found, info
+
+        # a Python routine behind the solver's own ctypes prototype, so the call passes the same conversions
+        prototype = type(schrodinger._dstebz_routine())
+        monkeypatch.setattr(schrodinger, "_dstebz_routine", lambda: prototype(stebz))
         op = TridiagonalOperator(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=-0.1, size=3)
         with pytest.raises(SolverError, match=f"info {info} with {found} of 2 eigenvalues"):
             lowest_eigenvalues(op, 2)
@@ -203,7 +211,81 @@ class TestEigenvalues:
         assert odd < -0.999
 
 
+def sequential_gap(potential, grid):
+    """numeric_gap's gap and error estimate from one grid after the other, as float.hex."""
+    (c0, c1), (f0, f1) = (lowest_eigenvalues(discretize(potential, g), 2) for g in (grid, grid.refined()))
+    return (f1 - f0).hex(), (abs((f1 - f0) - (c1 - c0)) / 3.0).hex()
+
+
 class TestNumericGap:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=st.floats(math.log(2.0), math.log(256.0)).map(math.exp),
+        b=st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True),
+        points=st.sampled_from([101, 1201, 4001]),
+    )
+    def test_same_bits_as_sequential_solves(self, lam, b, points):
+        pot = benchmark_potential(lam, b)
+        grid = GridSpec(-3.5, 3.5, points)
+        gap, error = numeric_gap(pot, grid)
+        assert (gap.hex(), error.hex()) == sequential_gap(pot, grid)
+
+    def test_concurrent_solves_keep_the_sequential_bits(self):
+        # more threads than cores, switching often, each solving its own operators
+        cases = [(lam, b, points) for lam, b in ((3.0, 0.0), (16.0, 0.5), (64.0, -0.8), (200.0, 1.2))
+                 for points in (1201, 4001)]
+        ops = [discretize(benchmark_potential(lam, b), GridSpec(-3.5, 3.5, points)) for lam, b, points in cases]
+        expected = [lowest_eigenvalues(op, 4) for op in ops]
+        results = [[] for _ in ops]
+
+        def solve(i):
+            for _ in range(3):
+                results[i].append(lowest_eigenvalues(ops[i], 4))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(ops))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[eigs] * 3 for eigs in expected]
+
+    def test_coarse_solve_error_comes_first_and_leaves_no_thread(self):
+        # three coarse points leave a one-row operator, which has no doublet; the fine grid adds
+        # x = +-1.5, where the potential is not finite, so its discretization fails as well
+        def potential(x):
+            return np.where(np.abs(x) == 1.5, np.nan, x * x)
+
+        threads = threading.active_count()
+        with pytest.raises(BracketError, match="cannot find 2 eigenvalues of a 1-row operator"):
+            numeric_gap(potential, GridSpec(-3.0, 3.0, 3))
+        assert threading.active_count() == threads
+        with pytest.raises(DomainError, match="not finite"):
+            numeric_gap(potential, GridSpec(-3.0, 3.0, 5))
+        assert threading.active_count() == threads
+
+    def test_slow_coarse_error_wins_over_fine_error(self, monkeypatch):
+        # the coarse solve fails after the fine one has failed; the sequential order still decides
+        solved = threading.Event()
+
+        def failing_solve(operator, count):
+            if operator.size > 100:
+                solved.set()
+            else:
+                solved.wait(timeout=10)
+            raise SolverError(f"no solve of {operator.size} rows")
+
+        monkeypatch.setattr(schrodinger, "lowest_eigenvalues", failing_solve)
+        threads = threading.active_count()
+        with pytest.raises(SolverError, match="no solve of 99 rows"):
+            numeric_gap(harmonic, GridSpec(-3.0, 3.0, 101))
+        assert threading.active_count() == threads
+
     def test_self_consistency_across_resolutions(self):
         pot = benchmark_potential(4.0, 0.5)
         g1 = numeric_gap(pot, GridSpec(-3.0, 3.0, 2001))

@@ -147,6 +147,16 @@ class TestConstruction:
         with pytest.raises(TriangleError, match=r"a term of I\(\d+, \d+\) is beyond float64"):
             build_triangle(depth, Fraction(ratio)).evaluate(*key, B, delta, T)
 
+    @pytest.mark.parametrize("ratio, B, delta, T", [
+        (1, 1e200, 1e200, 1e200),
+        (Fraction(1, 10**300), 1e-100, 1e200, 1e200),
+        (1, math.nan, 1.0, 2.0),
+        (1, 1.0, 1.0, math.inf),
+    ], ids=["both-overflow", "delta-T-overflows", "nan-B", "infinite-T"])
+    def test_evaluate_non_finite_products_are_triangle_error(self, ratio, B, delta, T):
+        with pytest.raises(TriangleError, match="B T and delta T must be finite"):
+            build_triangle(6, Fraction(ratio)).evaluate(3, 3, B, delta, T)
+
     @pytest.mark.parametrize("sign", ["x", "", None, "+-"])
     def test_branch_refuses_unknown_sign(self, sign):
         with pytest.raises(TriangleParameterError, match="sign must be") as excinfo:

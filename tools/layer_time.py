@@ -1,4 +1,4 @@
-"""In-process time of the moment, gas-sum and triangle layers, on two trees.
+"""In-process time of the moment, gas-sum, triangle and Schrodinger layers, on two trees.
 
 Usage:
     python3 tools/layer_time.py BASE_TREE CHANGE_TREE
@@ -17,6 +17,10 @@ route's series are longest) and one asymmetric point (|d| T = 1, the
 closed form in mpmath), the closed form's route alone, `moment_closed` at
 I(3, 4) and I(20, 20), and the triangle layer, `build_triangle` and `verify_column_relations` at depths 12 and 24
 (ratio 2/5; the verification is timed on a triangle built beforehand).
+The Schrodinger rows time `lowest_eigenvalues(op, 2)` on the operators of
+the default 4001-point grid and its 8001-point refinement (lam 64, b 0.5;
+each operator is discretized beforehand), then `numeric_gap` on the
+default grid and `benchmark_point` at (lam 16, b 0) and (lam 64, b 0.5).
 Standard library only.
 """
 
@@ -53,14 +57,25 @@ ROWS = (
     *((f"verify_column_relations depth {depth}, ratio 2/5",
        f"tri = triangle.build_triangle({depth}, Fraction(2, 5))", "triangle.verify_column_relations(tri)")
       for depth in (12, 24)),
+    *((f"lowest_eigenvalues, {points}-point operator (lam 64, b 0.5)",
+       f"op = schrodinger.discretize(schrodinger.benchmark_potential(64.0, 0.5), "
+       f"schrodinger.GridSpec(-3.5, 3.5, {points}))",
+       "schrodinger.lowest_eigenvalues(op, 2)")
+      for points in (4001, 8001)),
+    *((f"numeric_gap, default grid (lam {lam:g}, b {b:g})", f"pot = schrodinger.benchmark_potential({lam}, {b})",
+       "schrodinger.numeric_gap(pot, schrodinger.DEFAULT_GRID)")
+      for lam, b in ((16.0, 0.0), (64.0, 0.5))),
+    *((f"benchmark_point (lam {lam:g}, b {b:g})", "", f"schrodinger.benchmark_point({lam}, {b})")
+      for lam, b in ((16.0, 0.0), (64.0, 0.5))),
 )
 
 _CHILD = f"""
 import statistics, sys, timeit
 from fractions import Fraction
-from instanton_gas import moments, spectrum, triangle
+from instanton_gas import moments, schrodinger, spectrum, triangle
 from instanton_gas.potential import WellParameters
-names = dict(moments=moments, spectrum=spectrum, triangle=triangle, WellParameters=WellParameters, Fraction=Fraction)
+names = dict(moments=moments, schrodinger=schrodinger, spectrum=spectrum, triangle=triangle,
+             WellParameters=WellParameters, Fraction=Fraction)
 exec(sys.argv[1], names)
 timer = timeit.Timer(sys.argv[2], globals=names)
 timer.timeit(1)
