@@ -50,14 +50,14 @@ it needs about half as many as M.  At d = 0, the paper's symmetric limit,
 both series are 1 and I is (BT)^N/N! alone: moment_kummer is the
 evaluator there too.  No route loads scipy.
 
-Every route forms the full value, stripped e^(-(w0+w1)T/4), by _damped,
-which scales the mantissa instead where that factor is subnormal or 0.
-The gas sum's terms come from _diagonal alone: it takes the route once,
-by _kummer_route, skips terms below float64 by a bound read from tables
-of ln k!, and below the threshold runs the diagonal kernel,
-_kummer_diagonal, with its basis and the damping factor taken once per
-sum.  The same kernel serves multi_instanton and moment_kummer at n = m,
-so the three give the same bits.
+Off the Kummer diagonal every route forms the full value, stripped
+e^(-(w0+w1)T/4), by _damped.  The gas sum's terms come from _diagonal
+alone, which takes the route once, by _kummer_route.  Below the threshold
+it runs the diagonal kernel, _kummer_diagonal, in one pass, with the
+damping folded into each term's mantissa and power of two, so a term
+below float64 is 0 by itself; multi_instanton and moment_kummer at n = m
+read the same kernel, so the three give the same bits.  Above it, terms
+below float64 are skipped by a bound read from tables of ln k!.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ DEPTH_CAP = 64
 # least subnormal).
 _LOG_HUGEST = log(sys.float_info.max)
 _LOG_TINIEST = log(5e-324)
-# x beyond which any float64 times e^(-x) rounds to 0.
-_DAMPED_TO_ZERO = _LOG_HUGEST - _LOG_TINIEST + 1.0
 # Decimal digits carried beyond the closed form's worst-case cancellation.
 _GUARD_DIGITS = 30
 _LN10 = math.log(10.0)
@@ -203,27 +201,31 @@ def prefactor(params):
     return exp(-_decay(params))
 
 
-def _plain_factor(x):
-    """e^(-x) where _damped multiplies by it: where it is a normal float, or
-    where x is so large that any product with it rounds to 0; else None."""
+def _damping(x):
+    """(dm, k) with e^(-x) = dm 2^-k, for x >= 0: the frexp of e^(-x) where
+    that is a normal float.  Beyond x = 708.4 it is subnormal or 0, so
+    k = round(x / ln 2) and dm = e^(-(x - k ln 2)), near 1; k comes from
+    min(x, 2^20), which keeps k ln 2 exact (beyond it dm shrinks to 0)."""
     factor = exp(-x)
-    return factor if factor >= sys.float_info.min or x > _DAMPED_TO_ZERO else None
+    if factor >= sys.float_info.min:
+        dm, exponent = frexp(factor)
+        return dm, -exponent
+    k = round(min(x, 2.0**20) / _LN2)
+    return exp((k * _LN2_HI - x) + k * _LN2_LO), k
 
 
 def _damped(stripped, x):
     """stripped e^(-x) for x >= 0: a full value from its stripped one.
 
-    Where e^(-x) is a normal float this is the product with it.  Beyond
-    x = 708.4 that factor is subnormal or 0 and has lost digits, so the
-    mantissa of stripped is scaled by e^(-(x - k ln 2)) instead, and ldexp
-    applies the power of two last.
+    The product with e^(-x) where that is a normal float; else the mantissa
+    of stripped is scaled by the dm of _damping, and ldexp applies 2^-k last.
     """
-    factor = _plain_factor(x)
-    if factor is not None:
+    factor = exp(-x)
+    if factor >= sys.float_info.min:
         return stripped * factor
-    k = round(x / _LN2)
+    dm, k = _damping(x)
     mantissa, exponent = frexp(stripped)
-    return ldexp(mantissa * exp((k * _LN2_HI - x) + k * _LN2_LO), exponent - k)
+    return ldexp(mantissa * dm, exponent - k)
 
 
 def _bound_logs(params):
@@ -497,59 +499,60 @@ def _kummer_route(params):
     return abs(params.delta) * params.T < _KUMMER_DT
 
 
-def _kummer_basis(params):
-    """z = |delta| T, whether delta < 0, frexp(B), frexp(T) and e^(-z/2)."""
-    z = abs(params.delta) * params.T
-    return (z, params.delta < 0.0, *frexp(params.B), *frexp(params.T), exp(-z / 2.0))
-
-
-def _kummer_stripped(n, m, basis):
-    """Stripped I(n, m) by Kummer's series, from _kummer_basis.
+def _kummer_stripped(n, m, params):
+    """Stripped I(n, m) by Kummer's series, off the diagonal.
 
     Raises MomentError when the result exceeds float64, from the ldexp: for
     N <= 129 the mantissa lies in [8.8e-297, e^0.05], so nothing before it
     underflows or overflows."""
-    z, d_negative, mb, eb, mt, et, e_half = basis
+    z = abs(params.delta) * params.T
+    mb, eb = frexp(params.B)
+    mt, et = frexp(params.T)
     big_n = n + m + 1
-    a = (m if d_negative else n) + 1
+    a = (m if params.delta < 0.0 else n) + 1
     term = series = 1.0
     k = 0
     while term > 1e-17 * series:
         term *= (a + k) / (big_n + 1 + k) * z / (k + 1)
         series += term
         k += 1
-    mantissa = mb**big_n * mt**big_n / _FACTORIAL[big_n] * (e_half * series)
+    mantissa = mb**big_n * mt**big_n / _FACTORIAL[big_n] * (exp(-z / 2.0) * series)
     try:
         return ldexp(mantissa, big_n * (eb + et))
     except OverflowError:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
 
 
-def _kummer_diagonal(i, basis):
-    """Stripped I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2), N = 2i+1, from
-    _kummer_basis.
+def _kummer_diagonal(params, start, damping=None):
+    """I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2) dm 2^-k, N = 2i+1, for
+    i = start, ..., DEPTH_CAP: full with the (dm, k) of _damping, else stripped.
 
-    Each term of 0F1 is the one before times x/((i+3/2+k)(k+1)), with
+    Each term of 0F1 is the one before times x/((i+3/2+j)(j+1)), with
     x = (|d|T/4)^2 < 6.25e-4 on the Kummer route, so about five terms reach
-    the float64 rounding; at d = 0 the series is 1 and the result has the
-    bits of (BT)^N/N! that _kummer_stripped gives.  Raises MomentError, from
-    the ldexp, when the result exceeds float64."""
-    z, _, mb, eb, mt, et, _ = basis
-    x = (z / 4.0) ** 2
-    big_n = 2 * i + 1
-    b = i + 1.5
-    term = series = 1.0
-    k = 1
-    while term > 1e-17 * series:
-        term *= x / (b * k)
-        series += term
-        b += 1.0
-        k += 1
-    mantissa = mb**big_n * mt**big_n / _FACTORIAL[big_n] * series
-    try:
-        return ldexp(mantissa, big_n * (eb + et))
-    except OverflowError:
-        raise MomentError(f"stripped I({i}, {i}) exceeds float64") from None
+    the float64 rounding; at d = 0 the series is 1.  Each value is one
+    mantissa, mb^N mt^N/N! 0F1 dm (at least 4.3e-296 dm for N <= 129), and
+    one ldexp of N (eb + et) - k: a value below float64 comes out as 0 or a
+    subnormal, and MomentError is raised only where the value itself
+    exceeds float64, not where (BT)^N/N! alone does."""
+    x = (abs(params.delta) * params.T / 4.0) ** 2
+    mb, eb = frexp(params.B)
+    mt, et = frexp(params.T)
+    dm, k = damping or (1.0, 0)
+    for i in range(start, DEPTH_CAP + 1):
+        big_n = 2 * i + 1
+        b = i + 1.5
+        term = series = 1.0
+        j = 1
+        while term > 1e-17 * series:
+            term *= x / (b * j)
+            series += term
+            b += 1.0
+            j += 1
+        try:
+            value = ldexp(mb**big_n * mt**big_n / _FACTORIAL[big_n] * series * dm, big_n * (eb + et) - k)
+        except OverflowError:
+            raise MomentError(f"{'full' if damping else 'stripped'} I({i}, {i}) exceeds float64") from None
+        yield value
 
 
 def moment_kummer(key, params):
@@ -563,13 +566,14 @@ def moment_kummer(key, params):
     Every term of M is positive and at most z times the one before, so the
     sum neither cancels nor needs more than a dozen terms; at delta = 0 it
     is 1.  On the diagonal n = m the same value is summed as
-    (BT)^N/N! 0F1(; n+3/2; (z/4)^2) by _kummer_diagonal, through Kummer's
-    second transformation e^(-z/2) M(a, 2a, z) = 0F1(; a+1/2; z^2/16)
-    (DLMF 13.6.9 with 10.25.2), whose terms fall twice as fast.  (BT)^N is
-    formed as mantissas and a power of two, so that no factor leaves the
-    float64 range before the result does.  B = 0 gives 0; MomentError is
-    raised when the stripped value exceeds float64, and MomentParameterError
-    naming delta when |delta| T >= 0.1.
+    (BT)^N/N! 0F1(; n+3/2; (z/4)^2), through Kummer's second transformation
+    e^(-z/2) M(a, 2a, z) = 0F1(; a+1/2; z^2/16) (DLMF 13.6.9 with 10.25.2),
+    whose terms fall twice as fast; both values are then read from the gas
+    sum's kernel, _kummer_diagonal.  (BT)^N is formed as mantissas and a
+    power of two, so that no factor leaves the float64 range before the
+    result does.  B = 0 gives 0; MomentError is raised when the stripped
+    value exceeds float64, and MomentParameterError naming delta when
+    |delta| T >= 0.1.
     """
     key = _as_key(key)
     n, m = key.n, key.m
@@ -580,8 +584,10 @@ def moment_kummer(key, params):
         )
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "kummer")
-    basis = _kummer_basis(params)
-    stripped = _kummer_diagonal(n, basis) if n == m else _kummer_stripped(n, m, basis)
+    if n == m:
+        stripped = next(_kummer_diagonal(params, n))
+        return MomentValue(stripped, next(_kummer_diagonal(params, n, _damping(_decay(params)))), "kummer")
+    stripped = _kummer_stripped(n, m, params)
     return MomentValue(stripped, _damped(stripped, _decay(params)), "kummer")
 
 
@@ -590,7 +596,9 @@ def multi_instanton(i, params):
 
     Kummer's series (moment_kummer) below |delta| T = 0.1 (_kummer_route),
     where the closed form cancels; above it the closed form, in mpmath.
-    Neither loads numpy.  The gas sum reads its terms from _diagonal.
+    Neither loads numpy.  The gas sum reads its terms from _diagonal, with
+    the same bits, except that _diagonal's Kummer route gives a finite full
+    value where the stripped one, and so multi_instanton, overflows.
     """
     index = _integral(i)
     if index is None:
@@ -606,29 +614,21 @@ def multi_instanton(i, params):
 def _diagonal(params):
     """Full I(i, i) for i = 0, 1, ..., DEPTH_CAP: the terms of the gas sum.
 
-    The route is taken once, by _kummer_route.  A term for which
-    _below_float64 holds is 0.0 without being evaluated; every other term
-    is multi_instanton(i, params).full, bit for bit.  Below the threshold
-    the Kummer basis and the damping factor e^(-(w0+w1)T/4)
-    are taken once per sum, and _damped runs only where that factor is
-    subnormal; above it each term is a call of the module's
-    multi_instanton, so that a rebinding of it (the benchmark's tracer
-    makes one) is seen.  A caller that stops early evaluates no further
-    term; MomentError is raised at the first term that exceeds float64.
+    The route is taken once, by _kummer_route.  Below the threshold the
+    terms are _kummer_diagonal's, in one pass, with the damping
+    e^(-(w0+w1)T/4) folded into each term: one below float64 is 0 by
+    itself, and MomentError is raised only where the full value overflows.
+    Above it a term for which _below_float64 holds is 0.0 unevaluated, and
+    every other is a call of the module's multi_instanton, so that a
+    rebinding of it (the benchmark's tracer makes one) is seen.  A caller
+    that stops early evaluates no further term.
     """
+    if _kummer_route(params):
+        yield from _kummer_diagonal(params, 0, _damping(_decay(params)))
+        return
     logs = _bound_logs(params) if params.B > 0.0 else None
-    kummer = _kummer_route(params)
-    if kummer:
-        basis, x = _kummer_basis(params), _decay(params)
-        factor = _plain_factor(x)
     for i in range(DEPTH_CAP + 1):
-        if logs is not None and _below_float64(i, logs):
-            yield 0.0
-        elif kummer:
-            stripped = _kummer_diagonal(i, basis)
-            yield stripped * factor if factor is not None else _damped(stripped, x)
-        else:
-            yield multi_instanton(i, params).full
+        yield 0.0 if logs is not None and _below_float64(i, logs) else multi_instanton(i, params).full
 
 
 def sweep_grid():

@@ -338,6 +338,14 @@ def _gauss_legendre(f, a, b, n):
     return half * float(weights @ f(0.5 * (a + b) + half * nodes))
 
 
+def _horner(coefficients, x):
+    """sum_k coefficients[k] x^k at a float x, with the bits of numpy's polyval."""
+    value = 0.0
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
+
+
 def instanton_action(potential, x0, x1):
     """Zero-energy tunneling action between degenerate minima x0 < x1.
 
@@ -354,12 +362,23 @@ def instanton_action(potential, x0, x1):
 
     if not x0 < x1:
         raise PotentialError("need x0 < x1")
-    floor = 0.5 * (float(potential(x0)) + float(potential(x1)))
+    floor = 0.5 * (_horner(potential.coefficients, x0) + _horner(potential.coefficients, x1))
 
-    probe = np.linspace(x0, x1, 2001)
-    depth = npoly.polyval(probe, potential.coefficients) - floor
-    scale = max(1.0, float(np.max(depth)))
-    if float(np.min(depth)) < -1e-10 * scale:
+    # V - floor is least and greatest on [x0, x1] at an end or at a real root of
+    # V' between them: an eigenvalue of the companion matrix of V'
+    slope = [k * c for k, c in enumerate(potential.coefficients)][1:]
+    while slope[-1] == 0.0:
+        slope.pop()
+    companion = np.eye(len(slope) - 1, k=-1)
+    companion[:, -1] = [-c / slope[-1] for c in slope[:-1]]
+    try:
+        roots = np.linalg.eigvals(companion).tolist()
+    except np.linalg.LinAlgError:  # an entry beyond float64, or no convergence
+        raise PotentialError("cannot locate the stationary points of V in float64") from None
+    points = [x0, x1, *(z.real for z in roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z)) and x0 < z.real < x1)]
+    depth = [_horner(potential.coefficients, x) - floor for x in points]
+    scale = max(1.0, *depth)
+    if min(depth) < -1e-10 * scale:
         raise PotentialError("potential dips below well floor")
 
     def integrand(x):

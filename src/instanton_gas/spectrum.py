@@ -127,9 +127,10 @@ def gas_sum_partial(params, n_terms):
 
     n_terms, an integer from 1 to DEPTH_CAP + 1, is checked before any term
     is evaluated.  The terms are moments._diagonal's: each is
-    multi_instanton(i, params).full, bit for bit, or 0.0 where a bound puts
-    it below the smallest float64, which keeps large T finite and fast.
-    Returns (sum, terms).
+    multi_instanton(i, params).full, bit for bit, or 0.0 where it is below
+    the smallest float64, which keeps large T finite and fast.  Below
+    |d| T = 0.1 a term is also finite where only its stripped value, and so
+    multi_instanton, exceeds float64.  Returns (sum, terms).
     """
     # Imported here, once per sum: at module level every `spectrum` command
     # would load moments.

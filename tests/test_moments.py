@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import comb, exp, factorial
 
 import mpmath as mp
@@ -394,7 +395,10 @@ def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
         assert abs(reference - kummer) <= mp.mpf(10) ** -40 * reference
     value = moment_kummer((i, i), params)
     assert abs(value.stripped - reference) <= 1e-14 * reference + 5e-324
+    assert value.stripped.hex() == next(moments._kummer_diagonal(params, i)).hex()
+    # one kernel, three readers: moment_kummer, multi_instanton and the gas sum's term
     assert value.full.hex() == multi_instanton(i, params).full.hex()
+    assert value.full.hex() == list(islice(moments._diagonal(params), i + 1))[i].hex()
     if params.delta == 0.0:
         assert value.stripped.hex() == kummer_symmetric_limit(i, params.B, T).hex()
 
@@ -404,7 +408,84 @@ def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
 def test_kummer_diagonal_at_zero_delta_is_the_symmetric_limit(i, B, T):
     params = WellParameters(omega0=1.5, omega1=1.5, T=T, B=B)
     assert moment_kummer((i, i), params).stripped.hex() == kummer_symmetric_limit(i, B, T).hex()
-    assert moments._kummer_diagonal(i, moments._kummer_basis(params)).hex() == kummer_symmetric_limit(i, B, T).hex()
+    assert next(moments._kummer_diagonal(params, i)).hex() == kummer_symmetric_limit(i, B, T).hex()
+    full = next(moments._kummer_diagonal(params, i, moments._damping(moments._decay(params))))
+    assert full.hex() == moment_kummer((i, i), params).full.hex()
+
+
+def full_diagonal_50_digits(i, params):
+    """Full I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2) e^(-x) at 50 digits, N = 2i+1, with
+    x = moments._decay(params): every route damps by that float, whose rounding alone moves
+    e^(-x) by up to x 2^-53 relative (2e-13 at x = 1500)."""
+    big_n = 2 * i + 1
+    with mp.workdps(50):
+        z = abs(mp.mpf(params.delta)) * mp.mpf(params.T)
+        lead = (mp.mpf(params.B) * mp.mpf(params.T)) ** big_n / mp.factorial(big_n)
+        return lead * mp.hyp0f1(i + mp.mpf(3) / 2, (z / 4) ** 2) * mp.exp(-mp.mpf(moments._decay(params)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    i=st.integers(0, 64),
+    delta_t=st.one_of(st.just(0.0), st.floats(0.0, 0.1, exclude_max=True), st.just(math.nextafter(0.1, 0.0))),
+    sign=st.sampled_from((-1.0, 1.0)),
+    T=st.floats(1e-3, 1e4),
+    BT=st.one_of(st.floats(1e-3, 300.0), st.floats(300.0, 1e5)),
+    # omega1 T: e^(-(w0+w1)T/4) is a normal float below about 1417, and subnormal or 0 above
+    omega_t=st.one_of(st.floats(1e-3, 10.0), st.floats(10.0, 1400.0), st.floats(1400.0, 3000.0)),
+)
+@example(i=61, delta_t=0.0, sign=1.0, T=1e4, BT=1.6e4, omega_t=300.0)  # stripped beyond float64, full 7.6e246
+@example(i=64, delta_t=0.0, sign=1.0, T=1e4, BT=2e4, omega_t=3000.0)  # both, and a subnormal damping
+@example(i=64, delta_t=0.0, sign=1.0, T=1e4, BT=2e4, omega_t=20.0)  # the full value beyond float64 too
+@example(i=0, delta_t=0.0999, sign=-1.0, T=1e-3, BT=1e-3, omega_t=1420.0)  # a subnormal full value
+def test_kummer_full_term_against_50_digits(i, delta_t, sign, T, BT, omega_t):
+    # the gas sum's Kummer terms are full values from one ldexp, whatever the stripped value does
+    delta = sign * delta_t / T
+    omega1 = omega_t / T
+    if not omega1 + 2.0 * delta > 0.0:
+        return
+    params = WellParameters(omega0=omega1 + 2.0 * delta, omega1=omega1, T=T, B=BT / T)
+    if not moments._kummer_route(params):  # delta rounded up across the domain's edge
+        return
+    reference = full_diagonal_50_digits(i, params)
+    kernel = moments._kummer_diagonal(params, i, moments._damping(moments._decay(params)))
+    try:
+        value = next(kernel)
+    except MomentError as exc:
+        assert str(exc) == f"full I({i}, {i}) exceeds float64"
+        assert reference > sys.float_info.max * (1.0 - 1e-14)
+        return
+    assert math.isfinite(value)
+    assert abs(value - reference) <= max(1e-14 * reference, mp.mpf(5e-324))
+    try:
+        assert moment_kummer((i, i), params).full.hex() == value.hex()
+    except MomentError as exc:  # the stripped value alone is beyond float64
+        assert str(exc) == f"stripped I({i}, {i}) exceeds float64"
+        with mp.workdps(50):
+            assert reference / mp.exp(-mp.mpf(moments._decay(params))) > sys.float_info.max * (1.0 - 1e-14)
+
+
+@pytest.mark.parametrize("omega, T", [(1e300, 1.0), (1e308, 1e10)])  # (w0+w1)T/4 = 5e299, and inf
+def test_full_terms_vanish_where_the_damping_exponent_is_huge(omega, T):
+    # (BT)^N/N! exceeds float64 at T = 1e10; the damping's power of two stays bounded either way
+    params = WellParameters(omega0=omega, omega1=omega, T=T, B=1.0)
+    assert list(moments._diagonal(params)) == [0.0] * (moments.DEPTH_CAP + 1)
+    assert moment_kummer((3, 3), params).full == 0.0
+    assert moments._damped(sys.float_info.max, moments._decay(params)) == 0.0
+
+
+def test_full_term_where_the_stripped_one_overflows():
+    # omega0 = omega1 = 0.03, T = 1e4, B = 1.6: (BT)^N/N! exceeds float64 from i = 61 on, and
+    # the gas sum used to refuse it; the full I(61, 61) = 7.55e246
+    params = WellParameters(omega0=0.03, omega1=0.03, T=1e4, B=1.6)
+    with pytest.raises(MomentError, match=r"^stripped I\(61, 61\) exceeds float64$"):
+        multi_instanton(61, params)
+    terms = list(moments._diagonal(params))
+    assert all(math.isfinite(t) for t in terms)
+    with mp.workdps(50):
+        exact = (mp.mpf(1.6) * mp.mpf(1e4)) ** 123 / mp.factorial(123) * mp.exp(-(mp.mpf(0.03) * 2) * mp.mpf(1e4) / 4)
+        assert abs(terms[61] - exact) <= 1e-14 * exact
+    assert terms[61] == pytest.approx(7.553381522608461e246, rel=1e-14)
 
 
 def below_float64_by_lgamma(i, logs):

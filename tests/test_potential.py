@@ -188,6 +188,24 @@ class TestInstantonAction:
         with pytest.raises(PotentialError, match="below well floor"):
             instanton_action(QUARTIC, -2.0, 2.0)
 
+    def test_narrow_dip_between_the_minima_rejected(self):
+        # (x^2-1)^2 ((x-0.3005)^2 - 1e-8) is below 0 only on (0.3004, 0.3006), between two points
+        # of an even grid of 2001 on [-1, 1]; the minimum of V - floor is -8.3e-9, at a root of V'
+        dip = npoly.polysub(npoly.polymul((-0.3005, 1.0), (-0.3005, 1.0)), (1e-8,))
+        coeffs = npoly.polymul(npoly.polymul((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)), dip)
+        with pytest.raises(PotentialError, match="^potential dips below well floor$"):
+            instanton_action(PolynomialPotential(tuple(coeffs)), -1.0, 1.0)
+
+    def test_stationary_points_beyond_float64_are_potential_error(self):
+        # V'/V'_lead has a coefficient of 1e600: the companion matrix of V' is not finite
+        with pytest.raises(PotentialError, match="cannot locate the stationary points"):
+            instanton_action(PolynomialPotential((1.0, 0.0, -2e300, 0.0, 1e-300)), -1.0, 1.0)
+
+    def test_trailing_zero_coefficients(self):
+        # the companion matrix of V' is formed from its leading nonzero coefficient
+        padded = PolynomialPotential((*PRODUCT.coefficients, 0.0, 0.0))
+        assert instanton_action(padded, -1.0, 1.0) == instanton_action(PRODUCT, -1.0, 1.0)
+
     @pytest.mark.parametrize("b, action", BENCHMARK_ACTIONS)
     def test_benchmark_family_against_mpmath(self, b, action):
         # (x^2-1)^2 (x^2 + b x + 1); near b = 2 the last factor nearly

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -172,15 +173,37 @@ class TestGasSum:
 
 
 def per_term_sum(params, n_terms):
-    """gas_sum_partial's (total, terms) from one multi_instanton call per term, in order."""
-    logs = moments._bound_logs(params) if params.B > 0.0 else None
+    """gas_sum_partial's (total, terms) from one multi_instanton call per term, in order.
+
+    Above |d| T = 0.1 a term for which _below_float64 holds is 0.0.  Below it a term that
+    multi_instanton refuses as a stripped value beyond float64 is None, and so is the total:
+    the one-pass sum folds the damping in first, so its full value may still be finite."""
+    kummer = moments._kummer_route(params)
+    logs = moments._bound_logs(params) if params.B > 0.0 and not kummer else None
     total, terms = 0.0, []
     for i in range(n_terms):
-        below = logs is not None and moments._below_float64(i, logs)
-        t = 0.0 if below else multi_instanton(i, params).full
+        if logs is not None and moments._below_float64(i, logs):
+            t = 0.0
+        elif kummer:
+            try:
+                t = multi_instanton(i, params).full
+            except moments.MomentError as exc:
+                assert str(exc) == f"stripped I({i}, {i}) exceeds float64"
+                t = None
+        else:
+            t = multi_instanton(i, params).full
         terms.append(t)
-        total += t
+        total = None if t is None or total is None else total + t
     return total, terms
+
+
+def full_term_50_digits(i, params):
+    """Full I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2) e^(-x) at 50 digits, N = 2i+1, with
+    x = moments._decay(params), the float by which every route damps."""
+    with mpmath.workdps(50):
+        z = abs(mpmath.mpf(params.delta)) * params.T
+        lead = (mpmath.mpf(params.B) * params.T) ** (2 * i + 1) / mpmath.factorial(2 * i + 1)
+        return lead * mpmath.hyp0f1(i + mpmath.mpf(3) / 2, (z / 4) ** 2) * mpmath.exp(-moments._decay(params))
 
 
 @st.composite
@@ -224,8 +247,10 @@ _AT_THRESHOLD = WellParameters(omega0=1.25, omega1=1.0, T=0.8, B=0.5)
 @example(params=WellParameters(omega0=1.0, omega1=1.25, T=math.nextafter(0.8, 0.0), B=0.5), n_terms=65)
 @example(params=_AT_THRESHOLD, n_terms=65)
 @example(params=P_NEAR, n_terms=40)
-@example(params=WellParameters(omega0=2.0, omega1=2.0, T=1e4, B=0.5), n_terms=65)  # every term skipped
+@example(params=WellParameters(omega0=2.0, omega1=2.0, T=1e4, B=0.5), n_terms=65)  # every term below float64
 @example(params=WellParameters(omega0=1e-3, omega1=1e-3, T=1e4, B=2.0), n_terms=65)  # I(i, i) overflows
+@example(params=WellParameters(omega0=0.03, omega1=0.03, T=1e4, B=1.6), n_terms=65)  # only (BT)^N/N! overflows
+@example(params=WellParameters(omega0=0.999998, omega1=1.0, T=1e4, B=2.0), n_terms=59)  # and the full value is 0
 @example(params=WellParameters(omega0=1.0, omega1=1.0, T=3.0, B=0.0), n_terms=65)
 @example(params=WellParameters(omega0=2.0, omega1=2.0, T=1000.0, B=1.0), n_terms=65)  # leading terms skipped
 @example(params=P_EXAMPLE, n_terms=40)  # the closed route from here on
@@ -239,9 +264,27 @@ def test_one_pass_sum_is_the_per_term_route(params, n_terms):
             gas_sum_partial(params, n_terms)
         assert type(excinfo.value) is type(exc) and str(excinfo.value) == str(exc)
         return
+    refused = {i: full_term_50_digits(i, params) for i, t in enumerate(expected[1]) if t is None}
+    # where multi_instanton refuses the stripped value, the one-pass sum refuses the first
+    # full value beyond float64, and gives every other within 1e-14 of 50 digits (or one
+    # subnormal unit, where it is below float64)
+    assume(all(abs(ref / sys.float_info.max - 1) > 1e-14 for ref in refused.values()))
+    beyond = [i for i, ref in refused.items() if ref > sys.float_info.max]
+    if beyond:
+        with pytest.raises(moments.MomentError) as excinfo:
+            gas_sum_partial(params, n_terms)
+        assert str(excinfo.value) == f"full I({beyond[0]}, {beyond[0]}) exceeds float64"
+        return
     total, terms = gas_sum_partial(params, n_terms)
-    assert [t.hex() for t in terms] == [t.hex() for t in expected[1]]
-    assert total.hex() == expected[0].hex()
+    assert len(terms) == n_terms
+    for i, (t, e) in enumerate(zip(terms, expected[1])):
+        if e is None:
+            assert abs(t - refused[i]) <= max(1e-14 * refused[i], mpmath.mpf(5e-324))
+        else:
+            assert t.hex() == e.hex()
+    assert math.isfinite(total)
+    if expected[0] is not None:
+        assert total.hex() == expected[0].hex()
 
 
 class TestTruncatedHamiltonian:
@@ -356,7 +399,7 @@ class TestParameterErrors:
         def no_terms(*args):
             raise AssertionError("a term was evaluated")
 
-        # the per-term evaluations of moments._diagonal on either route
+        # what moments._diagonal evaluates: the closed route's per-term call, the Kummer route's kernel
         monkeypatch.setattr(moments, "multi_instanton", no_terms)
         monkeypatch.setattr(moments, "_kummer_diagonal", no_terms)
         for params in (P_EXAMPLE, P_NEAR):  # the closed and the Kummer route

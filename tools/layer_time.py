@@ -6,17 +6,23 @@ Usage:
 Each tree is a checkout of this repository, with the package at
 src/instanton_gas.  Its package sources are copied to a temporary directory
 without any __pycache__, as tools/cold_start.py does.  Each round starts one
-fresh process per tree and row, with the order of the trees alternating
-from one round to the next.  The process imports the package, makes one
-untimed call (which loads what the call imports), and times the call with
-timeit: autorange picks the number of calls per repeat, and the process
-reports the median of REPEATS repeats per call.  The table gives the median
-of RUNS rounds in microseconds.  The rows are `gas_sum_partial(params, 40)`
-at two near-symmetric points (|d| T = 1.5e-5, and 0.09, where the Kummer
-route's series are longest) and one asymmetric point (|d| T = 1, the
-closed form in mpmath), the closed form's route alone, `moment_closed` at
-I(3, 4) and I(20, 20), and the triangle layer, `build_triangle` and `verify_column_relations` at depths 12 and 24
-(ratio 2/5; the verification is timed on a triangle built beforehand).
+fresh process per tree and row; the two trees run each row back to back,
+so that the host's drift over a round moves both sides of a row alike,
+and their order alternates from one round to the next.  The process
+imports the package, makes one untimed call (which loads what the call
+imports), and times the call with timeit: autorange picks the number of
+calls per repeat, and the process reports the median of REPEATS repeats
+per call.  The table gives the median of RUNS rounds in microseconds.  The
+rows are `gas_sum_partial(params, 40)` at two near-symmetric points
+(|d| T = 1.5e-5, and 0.09, where the Kummer route's series are longest) and
+one asymmetric point (|d| T = 1, the closed form in mpmath), then one row
+per moment route: `moment_closed` at I(3, 4) and I(20, 20),
+`moment_recursive` over the 9 x 9 rectangle, `moment_quadrature` at
+I(3, 4), `moment_kummer` at I(3, 4) and I(20, 20) near symmetry
+(|d| T = 1.5e-5), and `multi_instanton(20)` at |d| T = 0.09.  The
+triangle layer follows, `build_triangle` and `verify_column_relations`
+at depths 12 and 24 (ratio 2/5; the verification is timed on a triangle
+built beforehand).
 The Schrodinger rows time `lowest_eigenvalues(op, 2)` on the operators of
 the default 4001-point grid and its 8001-point refinement (lam 64, b 0.5;
 each operator is discretized beforehand), then `numeric_gap` on the
@@ -52,6 +58,15 @@ ROWS = (
      "moments.moment_closed((3, 4), params)"),
     ("moment_closed I(20, 20) (1, 2.3, B 0.5, T 3)", _WELL.format(1.0, 2.3, 0.5, 3.0),
      "moments.moment_closed((20, 20), params)"),
+    ("moment_recursive 8 x 8 (1, 2.3, B 0.5, T 3)", _WELL.format(1.0, 2.3, 0.5, 3.0),
+     "moments.moment_recursive(8, 8, params)"),
+    ("moment_quadrature I(3, 4) (1, 2.3, B 0.5, T 3)", _WELL.format(1.0, 2.3, 0.5, 3.0),
+     "moments.moment_quadrature((3, 4), params)"),
+    *((f"moment_kummer I({n}, {m}) (2.00001, 2, B 0.5, T 3)", _WELL.format(2.00001, 2.0, 0.5, 3.0),
+       f"moments.moment_kummer(({n}, {m}), params)")
+      for n, m in ((3, 4), (20, 20))),
+    ("multi_instanton(20) (2.06, 2, B 0.5, T 3)", _WELL.format(2.06, 2.0, 0.5, 3.0),
+     "moments.multi_instanton(20, params)"),
     *((f"build_triangle depth {depth}, ratio 2/5", "", f"triangle.build_triangle({depth}, Fraction(2, 5))")
       for depth in (12, 24)),
     *((f"verify_column_relations depth {depth}, ratio 2/5",
@@ -69,13 +84,17 @@ ROWS = (
       for lam, b in ((16.0, 0.0), (64.0, 0.5))),
 )
 
-_CHILD = f"""
-import statistics, sys, timeit
+# The names that every set-up statement and timed call sees.
+NAMES = """
 from fractions import Fraction
 from instanton_gas import moments, schrodinger, spectrum, triangle
 from instanton_gas.potential import WellParameters
-names = dict(moments=moments, schrodinger=schrodinger, spectrum=spectrum, triangle=triangle,
-             WellParameters=WellParameters, Fraction=Fraction)
+"""
+
+_CHILD = f"""
+import statistics, sys, timeit
+names = {{}}
+exec({NAMES!r}, names)
 exec(sys.argv[1], names)
 timer = timeit.Timer(sys.argv[2], globals=names)
 timer.timeit(1)
@@ -107,8 +126,8 @@ def main(argv=None):
         envs = [dict(base_env, PYTHONPATH=str(copy_sources(tree, Path(scratch) / str(i))))
                 for i, tree in enumerate(trees)]
         for run in range(RUNS):
-            for side in ((0, 1) if run % 2 == 0 else (1, 0)):
-                for label, setup, call in ROWS:
+            for label, setup, call in ROWS:
+                for side in ((0, 1) if run % 2 == 0 else (1, 0)):
                     times[side][label].append(call_us(setup, call, envs[side]))
 
     print(f"us per call; median of {RUNS} rounds")
