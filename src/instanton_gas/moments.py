@@ -523,36 +523,42 @@ def _kummer_stripped(n, m, params):
         raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
 
 
-def _kummer_diagonal(params, start, damping=None):
-    """I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2) dm 2^-k, N = 2i+1, for
-    i = start, ..., DEPTH_CAP: full with the (dm, k) of _damping, else stripped.
+def _kummer_diagonal(params, start):
+    """Stripped I(i, i) = (BT)^N/N! 0F1(; i+3/2; (|d|T/4)^2), N = 2i+1, for
+    i = start, ..., DEPTH_CAP, as pairs (mantissa, exponent) before damping.
 
     Each term of 0F1 is the one before times x/((i+3/2+j)(j+1)), with
     x = (|d|T/4)^2 < 6.25e-4 on the Kummer route, so about five terms reach
-    the float64 rounding; at d = 0 the series is 1.  Each value is one
-    mantissa, mb^N mt^N/N! 0F1 dm (at least 4.3e-296 dm for N <= 129), and
-    one ldexp of N (eb + et) - k: a value below float64 comes out as 0 or a
-    subnormal, and MomentError is raised only where the value itself
-    exceeds float64, not where (BT)^N/N! alone does."""
+    the float64 rounding; at d = 0 the series is 1.  The mantissa is
+    mb^N mt^N/N! 0F1, at least 4.3e-296 for N <= 129, and the exponent
+    N (eb + et)."""
     x = (abs(params.delta) * params.T / 4.0) ** 2
     mb, eb = frexp(params.B)
     mt, et = frexp(params.T)
-    dm, k = damping or (1.0, 0)
+    e, factorials = eb + et, _FACTORIAL
     for i in range(start, DEPTH_CAP + 1):
         big_n = 2 * i + 1
-        b = i + 1.5
-        term = series = 1.0
-        j = 1
+        term = x / (i + 1.5)  # the first step, which the test below always takes
+        series, b, j = 1.0 + term, i + 2.5, 2.0
         while term > 1e-17 * series:
             term *= x / (b * j)
             series += term
             b += 1.0
-            j += 1
-        try:
-            value = ldexp(mb**big_n * mt**big_n / _FACTORIAL[big_n] * series * dm, big_n * (eb + et) - k)
-        except OverflowError:
-            raise MomentError(f"{'full' if damping else 'stripped'} I({i}, {i}) exceeds float64") from None
-        yield value
+            j += 1.0
+        yield mb**big_n * mt**big_n / factorials[big_n] * series, big_n * e
+
+
+def _kummer_value(term, i, damping=None):
+    """I(i, i) = ldexp(mantissa dm, exponent - k) from a _kummer_diagonal term:
+    full with the (dm, k) of _damping, else stripped.  A value below float64
+    comes out as 0 or a subnormal, and MomentError is raised only where the
+    value itself exceeds float64, not where (BT)^N/N! alone does."""
+    mantissa, exponent = term
+    dm, k = damping or (1.0, 0)
+    try:
+        return ldexp(mantissa * dm, exponent - k)
+    except OverflowError:
+        raise MomentError(f"{'full' if damping else 'stripped'} I({i}, {i}) exceeds float64") from None
 
 
 def moment_kummer(key, params):
@@ -568,12 +574,12 @@ def moment_kummer(key, params):
     is 1.  On the diagonal n = m the same value is summed as
     (BT)^N/N! 0F1(; n+3/2; (z/4)^2), through Kummer's second transformation
     e^(-z/2) M(a, 2a, z) = 0F1(; a+1/2; z^2/16) (DLMF 13.6.9 with 10.25.2),
-    whose terms fall twice as fast; both values are then read from the gas
-    sum's kernel, _kummer_diagonal.  (BT)^N is formed as mantissas and a
-    power of two, so that no factor leaves the float64 range before the
-    result does.  B = 0 gives 0; MomentError is raised when the stripped
-    value exceeds float64, and MomentParameterError naming delta when
-    |delta| T >= 0.1.
+    whose terms fall twice as fast; both values are then read from one term
+    of the gas sum's kernel, _kummer_diagonal.  (BT)^N is formed as
+    mantissas and a power of two, so that no factor leaves the float64
+    range before the result does.  B = 0 gives 0; MomentError is raised
+    when the stripped value exceeds float64, and MomentParameterError
+    naming delta when |delta| T >= 0.1.
     """
     key = _as_key(key)
     n, m = key.n, key.m
@@ -585,8 +591,8 @@ def moment_kummer(key, params):
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "kummer")
     if n == m:
-        stripped = next(_kummer_diagonal(params, n))
-        return MomentValue(stripped, next(_kummer_diagonal(params, n, _damping(_decay(params)))), "kummer")
+        term = next(_kummer_diagonal(params, n))
+        return MomentValue(_kummer_value(term, n), _kummer_value(term, n, _damping(_decay(params))), "kummer")
     stripped = _kummer_stripped(n, m, params)
     return MomentValue(stripped, _damped(stripped, _decay(params)), "kummer")
 
@@ -624,7 +630,14 @@ def _diagonal(params):
     that stops early evaluates no further term.
     """
     if _kummer_route(params):
-        yield from _kummer_diagonal(params, 0, _damping(_decay(params)))
+        # _kummer_value's scaling, inline: a call per term costs the gas sum a fifth
+        dm, k = _damping(_decay(params))
+        for i, (mantissa, exponent) in enumerate(_kummer_diagonal(params, 0)):
+            try:
+                value = ldexp(mantissa * dm, exponent - k)
+            except OverflowError:
+                raise MomentError(f"full I({i}, {i}) exceeds float64") from None
+            yield value
         return
     logs = _bound_logs(params) if params.B > 0.0 else None
     for i in range(DEPTH_CAP + 1):

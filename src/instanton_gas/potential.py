@@ -6,6 +6,10 @@ exponent between two degenerate minima x0 < x1 is the zero-energy action
 
     S = integral_{x0}^{x1} sqrt(2 (V(x) - V(x0))) dx.
 
+Every value of V, V' and V'' comes from one Horner routine, _horner, with
+the bits of numpy's polyval, and the stationary points that find_minima and
+instanton_action read from one companion-matrix solve, _stationary_points,
+with the bits of polyroots; numpy.polynomial is not used.
 numpy is imported by the functions that compute with it, and the
 Gauss-Legendre rules, which instanton_action shares with
 moments.moment_quadrature, are built on first use, so importing the module
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from math import exp, isfinite, sqrt
 
 # Relative disagreement of the two rules beyond which the action is refused.
@@ -106,14 +110,10 @@ class PolynomialPotential:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        from numpy.polynomial import polynomial as npoly
-
-        return npoly.polyval(x, self.coefficients)
+        return _horner(self.coefficients, x)
 
     def derivative(self, x, order=1):
-        from numpy.polynomial import polynomial as npoly
-
-        return npoly.polyval(x, npoly.polyder(self.coefficients, order))
+        return _horner(_derivative(self.coefficients, order), x)
 
 
 @dataclass(frozen=True)
@@ -166,52 +166,83 @@ class WellParameters:
                 )
 
 
-def _real_roots(coeffs):
-    import numpy as np
-    from numpy.polynomial import polynomial as npoly
+def _derivative(coefficients, order=1):
+    """The coefficients differentiated order times as numpy's polyder does it: k c_k, one order at a time."""
+    if order < 0:
+        raise ValueError("the order of derivation must be >= 0")
+    for _ in range(order):
+        coefficients = [k * c for k, c in enumerate(coefficients)][1:] or [0.0]
+    return coefficients
 
-    roots = npoly.polyroots(np.asarray(coeffs, dtype=float))
-    out = []
-    for z in roots:
-        if abs(z.imag) <= 1e-9 * (1.0 + abs(z)):
-            out.append(float(z.real))
-    return sorted(out)
+
+def _horner(coefficients, x):
+    """sum_k coefficients[k] x^k by Horner's rule, with the bits of numpy's polyval.
+
+    x is a float, giving a float, or a float64 numpy array, giving an array
+    of the values element by element; a list or tuple is converted to an
+    array first, as polyval converts it.  The steps are polyval's: the
+    leading coefficient plus x * 0, then c + value * x for each lower c.
+    """
+    if isinstance(x, (tuple, list)):
+        import numpy as np
+
+        x = np.asarray(x)
+    value = coefficients[-1] + x * 0
+    for c in coefficients[-2::-1]:
+        value = c + value * x
+    return value
+
+
+def _stationary_points(potential):
+    """The real roots of V', ascending: the stationary points of V.
+
+    Trailing zero coefficients of V' are trimmed and the roots are the
+    eigenvalues of its companion matrix as numpy's polyroots forms it (not
+    rotated, last column 0 - c_k / c_lead), so they have polyroots' bits.  A
+    root is real when its imaginary part is at most 1e-9 (1 + |z|).  Raises
+    PotentialError when the matrix is not finite or the solver fails.
+    """
+    import numpy as np
+
+    slope = _derivative(potential.coefficients)
+    while slope[-1] == 0.0:
+        slope.pop()
+    lead = slope.pop()
+    companion = np.eye(len(slope), k=-1)
+    companion[:, -1] = [0.0 - c / lead for c in slope]
+    try:
+        roots = np.linalg.eigvals(companion).tolist()
+    except np.linalg.LinAlgError:
+        raise PotentialError("cannot locate the stationary points of V in float64") from None
+    return sorted(z.real for z in roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z)))
 
 
 def _merge_close(values, radius):
-    import numpy as np
-
     merged = []
     for v in sorted(values):
         if merged and abs(v - merged[-1][-1]) <= radius(v):
             merged[-1].append(v)
         else:
             merged.append([v])
-    return [float(np.mean(group)) for group in merged]
+    # np.mean's bits: a sum in order from 0.0 (the builtin sum compensates from Python 3.12 on)
+    return [reduce(operator.add, group, 0.0) / len(group) for group in merged]
 
 
 def find_minima(potential):
     """Locate the local minima of the potential.
 
-    Stationary points are found from the companion matrix of V', harmonic
+    Stationary points come from _stationary_points, harmonic
     ones (V'' > 1e-6 times the size of its terms) are polished by Newton
     iteration on V', and degenerate ones (e.g. a quartic-bottom well) are
     kept but flagged non-harmonic.  Maxima and inflections are dropped.
     Both tests are relative, so scaling V or x classifies alike.
     Returns minima sorted by location; raises NoWellsError if none remain.
     """
-    from numpy.polynomial import polynomial as npoly
-
-    dcoeffs = npoly.polyder(potential.coefficients)
-    candidates = _real_roots(dcoeffs)
-    if not candidates:
-        raise NoWellsError("no wells")
-
-    d2coeffs = npoly.polyder(dcoeffs)
+    d2coeffs = _derivative(potential.coefficients, 2)
     harmonic_pts = []
     flat_pts = []
-    for x in candidates:
-        if npoly.polyval(x, d2coeffs) > _CURVATURE_RTOL * _term_size(d2coeffs, x):
+    for x in _stationary_points(potential):
+        if _horner(d2coeffs, x) > _CURVATURE_RTOL * _term_size(d2coeffs, x):
             harmonic_pts.append(x)
         else:
             flat_pts.append(x)
@@ -222,60 +253,33 @@ def find_minima(potential):
     flat_pts = _merge_close(flat_pts, lambda v: 1e-5 * (1.0 + abs(v)))
     stationary = harmonic_pts + flat_pts
 
-    minima = []
-    for x in harmonic_pts:
-        x = _newton_polish(potential, x)
-        curv = potential.derivative(x, 2)
-        minima.append(
-            WellMinimum(
-                location=x,
-                value=float(potential(x)),
-                curvature=curv,
-                frequency=sqrt(curv),
-                harmonic=True,
-            )
-        )
-    for x in flat_pts:
-        if not _is_local_minimum(potential, x, stationary):
-            continue
-        curv = max(potential.derivative(x, 2), 0.0)
-        minima.append(
-            WellMinimum(
-                location=x,
-                value=float(potential(x)),
-                curvature=curv,
-                frequency=sqrt(curv),
-                harmonic=False,
-            )
-        )
-    if not minima:
+    found = [(_newton_polish(potential, x), True) for x in harmonic_pts]
+    found += [(x, False) for x in flat_pts if _is_local_minimum(potential, x, stationary)]
+    if not found:
         raise NoWellsError("no wells")
+    minima = []
+    for x, harmonic in found:
+        curv = _horner(d2coeffs, x)
+        curv = curv if harmonic else max(curv, 0.0)
+        minima.append(WellMinimum(x, potential(x), curv, sqrt(curv), harmonic))
     return sorted(minima, key=lambda w: w.location)
 
 
 def _newton_polish(potential, x, max_iter=60):
-    for _ in range(max_iter):
+    for i in range(max_iter + 1):
         g = potential.derivative(x)
         h = potential.derivative(x, 2)
-        scale = 1e-12 * max(1.0, abs(h) * abs(x))
-        if abs(g) <= scale:
+        if abs(g) <= 1e-12 * max(1.0, abs(h) * abs(x)):
             return x
-        if h == 0.0:
+        if h == 0.0 or i == max_iter:
             break
-        step = g / h
-        x = x - step
-    g = potential.derivative(x)
-    if abs(g) <= 1e-12 * max(1.0, abs(potential.derivative(x, 2)) * abs(x)):
-        return x
+        x = x - g / h
     raise RootRefinementError("Newton polishing did not converge", x)
 
 
 def _term_size(coefficients, x):
     """sum_k |c_k x^k|: the size of the terms of the polynomial at x."""
-    import numpy as np
-    from numpy.polynomial import polynomial as npoly
-
-    return float(npoly.polyval(abs(x), np.abs(coefficients)))
+    return _horner([abs(c) for c in coefficients], abs(x))
 
 
 def _is_local_minimum(potential, x, stationary):
@@ -338,14 +342,6 @@ def _gauss_legendre(f, a, b, n):
     return half * float(weights @ f(0.5 * (a + b) + half * nodes))
 
 
-def _horner(coefficients, x):
-    """sum_k coefficients[k] x^k at a float x, with the bits of numpy's polyval."""
-    value = 0.0
-    for c in reversed(coefficients):
-        value = value * x + c
-    return value
-
-
 def instanton_action(potential, x0, x1):
     """Zero-energy tunneling action between degenerate minima x0 < x1.
 
@@ -358,31 +354,20 @@ def instanton_action(potential, x0, x1):
     endpoint is not a minimum).
     """
     import numpy as np
-    from numpy.polynomial import polynomial as npoly
 
     if not x0 < x1:
         raise PotentialError("need x0 < x1")
-    floor = 0.5 * (_horner(potential.coefficients, x0) + _horner(potential.coefficients, x1))
+    floor = 0.5 * (potential(x0) + potential(x1))
 
-    # V - floor is least and greatest on [x0, x1] at an end or at a real root of
-    # V' between them: an eigenvalue of the companion matrix of V'
-    slope = [k * c for k, c in enumerate(potential.coefficients)][1:]
-    while slope[-1] == 0.0:
-        slope.pop()
-    companion = np.eye(len(slope) - 1, k=-1)
-    companion[:, -1] = [-c / slope[-1] for c in slope[:-1]]
-    try:
-        roots = np.linalg.eigvals(companion).tolist()
-    except np.linalg.LinAlgError:  # an entry beyond float64, or no convergence
-        raise PotentialError("cannot locate the stationary points of V in float64") from None
-    points = [x0, x1, *(z.real for z in roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z)) and x0 < z.real < x1)]
-    depth = [_horner(potential.coefficients, x) - floor for x in points]
+    # V - floor is least and greatest on [x0, x1] at an end or at a stationary point between them
+    points = [x0, x1, *(x for x in _stationary_points(potential) if x0 < x < x1)]
+    depth = [potential(x) - floor for x in points]
     scale = max(1.0, *depth)
     if min(depth) < -1e-10 * scale:
         raise PotentialError("potential dips below well floor")
 
     def integrand(x):
-        return np.sqrt(2.0 * np.maximum(npoly.polyval(x, potential.coefficients) - floor, 0.0))
+        return np.sqrt(2.0 * np.maximum(potential(x) - floor, 0.0))
 
     coarse = _gauss_legendre(integrand, x0, x1, 64)
     fine = _gauss_legendre(integrand, x0, x1, 128)

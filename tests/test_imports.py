@@ -4,7 +4,8 @@ A bare `import instanton_gas` loads no submodule: its names resolve on
 first access.  No command loads scipy.integrate: the quadrature oracle
 integrates by Gauss-Legendre in numpy, the gas sum needs no numpy at any
 asymmetry, and the grid commands load scipy's compiled LAPACK wrapper,
-scipy.linalg._flapack, without the scipy.linalg package.  Every check of
+scipy.linalg._flapack, without the scipy.linalg package.  No command loads
+numpy.polynomial: potential evaluates and solves its polynomials itself.  Every check of
 what is loaded runs in a fresh interpreter, because the pytest process
 itself imports whatever the other test modules use.
 """
@@ -103,6 +104,33 @@ def test_grid_commands_load_flapack_not_linalg_package_or_integrate(argv):
     assert "numpy" in loaded
     assert {m for m in loaded if m.startswith("scipy.linalg")} == {"scipy.linalg._flapack"}
     assert "scipy.integrate" not in loaded
+
+
+_EVERY_COMMAND = """
+import contextlib, io, json, sys
+import instanton_gas.cli as cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_no_command_loads_numpy_polynomial():
+    # sys.modules only grows, so one process running all six commands shows it for each
+    commands = [
+        ("spectrum", *_WELL),
+        ("sum", *_WELL, "--T", "2", "--terms", "40"),
+        ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),
+        ("triangle-verify", "--depth", "12", "--ratio", "2/5"),
+        ("benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3"),
+        ("scaling", "--b", "0", "--lambdas", "4,6,8", "--points", "2001"),
+    ]
+    proc = fresh("-c", _EVERY_COMMAND, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert "numpy" in modules and "instanton_gas.schrodinger" in modules
+    assert [m for m in modules if m.startswith("numpy.polynomial")] == []
 
 
 @grid_commands

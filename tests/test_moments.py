@@ -395,7 +395,7 @@ def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
         assert abs(reference - kummer) <= mp.mpf(10) ** -40 * reference
     value = moment_kummer((i, i), params)
     assert abs(value.stripped - reference) <= 1e-14 * reference + 5e-324
-    assert value.stripped.hex() == next(moments._kummer_diagonal(params, i)).hex()
+    assert value.stripped.hex() == moments._kummer_value(next(moments._kummer_diagonal(params, i)), i).hex()
     # one kernel, three readers: moment_kummer, multi_instanton and the gas sum's term
     assert value.full.hex() == multi_instanton(i, params).full.hex()
     assert value.full.hex() == list(islice(moments._diagonal(params), i + 1))[i].hex()
@@ -408,8 +408,9 @@ def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
 def test_kummer_diagonal_at_zero_delta_is_the_symmetric_limit(i, B, T):
     params = WellParameters(omega0=1.5, omega1=1.5, T=T, B=B)
     assert moment_kummer((i, i), params).stripped.hex() == kummer_symmetric_limit(i, B, T).hex()
-    assert next(moments._kummer_diagonal(params, i)).hex() == kummer_symmetric_limit(i, B, T).hex()
-    full = next(moments._kummer_diagonal(params, i, moments._damping(moments._decay(params))))
+    term = next(moments._kummer_diagonal(params, i))
+    assert moments._kummer_value(term, i).hex() == kummer_symmetric_limit(i, B, T).hex()
+    full = moments._kummer_value(term, i, moments._damping(moments._decay(params)))
     assert full.hex() == moment_kummer((i, i), params).full.hex()
 
 
@@ -448,9 +449,9 @@ def test_kummer_full_term_against_50_digits(i, delta_t, sign, T, BT, omega_t):
     if not moments._kummer_route(params):  # delta rounded up across the domain's edge
         return
     reference = full_diagonal_50_digits(i, params)
-    kernel = moments._kummer_diagonal(params, i, moments._damping(moments._decay(params)))
+    term = next(moments._kummer_diagonal(params, i))
     try:
-        value = next(kernel)
+        value = moments._kummer_value(term, i, moments._damping(moments._decay(params)))
     except MomentError as exc:
         assert str(exc) == f"full I({i}, {i}) exceeds float64"
         assert reference > sys.float_info.max * (1.0 - 1e-14)

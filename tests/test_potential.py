@@ -1,7 +1,10 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from instanton_gas.potential import (
@@ -11,6 +14,7 @@ from instanton_gas.potential import (
     PotentialError,
     WellParameters,
     _gauss_rule,
+    _stationary_points,
     find_minima,
     instanton_action,
     well_parameters,
@@ -56,6 +60,27 @@ GAUSS_TABLE = [
 ]
 
 
+# V'/V'_lead has a coefficient of 1e600: the companion matrix of V' is not finite
+BEYOND_FLOAT64 = PolynomialPotential((1.0, 0.0, -2e300, 0.0, 1e-300))
+STATIONARY_MESSAGE = "^cannot locate the stationary points of V in float64$"
+
+
+@st.composite
+def confining_potentials(draw):
+    """Even degree 4 to 8, a positive leading coefficient, and up to two trailing zeros."""
+    degree = draw(st.sampled_from((4, 6, 8)))
+    lower = draw(st.lists(st.floats(-1e3, 1e3), min_size=degree, max_size=degree))
+    lead = draw(st.floats(1e-3, 1e3))
+    return PolynomialPotential((*lower, lead, *[0.0] * draw(st.integers(0, 2))))
+
+
+points = st.floats(-10.0, 10.0)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
 def sympy_second_derivative(potential, x0):
     """Independent symbolic oracle for V'' at a point."""
     x = sympy.symbols("x")
@@ -81,6 +106,38 @@ class TestPolynomialPotential:
     def test_rejects_negative_leading(self):
         with pytest.raises(PotentialError):
             PolynomialPotential((0.0, 0.0, 0.0, 0.0, -1.0))
+
+
+class TestPolynomialBits:
+    """V, V' and V'' and the stationary points carry numpy.polynomial's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pot=confining_potentials(), x=points)
+    def test_values_at_a_float_are_polyvals(self, pot, x):
+        assert hexes(pot(x)) == hexes(npoly.polyval(x, pot.coefficients))
+        for order in (1, 2):
+            expected = npoly.polyval(x, npoly.polyder(pot.coefficients, order))
+            assert hexes(pot.derivative(x, order)) == hexes(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pot=confining_potentials(), xs=st.lists(points, min_size=1, max_size=20))
+    def test_values_on_an_array_are_polyvals(self, pot, xs):
+        for x in (np.array(xs), xs, tuple(xs)):
+            assert hexes(pot(x)) == hexes(npoly.polyval(x, pot.coefficients))
+            for order in (1, 2):
+                expected = npoly.polyval(x, npoly.polyder(pot.coefficients, order))
+                assert hexes(pot.derivative(x, order)) == hexes(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pot=confining_potentials())
+    def test_stationary_points_are_the_real_polyroots(self, pot):
+        roots = npoly.polyroots(npoly.polyder(pot.coefficients))
+        real = sorted(float(z.real) for z in roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z)))
+        assert hexes(_stationary_points(pot)) == hexes(real)
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order"):
+            QUARTIC.derivative(0.5, -1)
 
 
 class TestFindMinima:
@@ -152,6 +209,13 @@ class TestFindMinima:
             assert w.harmonic
             assert w.curvature == pytest.approx(8.0 * a * a, rel=1e-12)
 
+    def test_stationary_points_beyond_float64_are_potential_error(self):
+        # numpy's eigenvalue solver refuses the non-finite companion matrix with a LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PotentialError, match=STATIONARY_MESSAGE):
+                find_minima(BEYOND_FLOAT64)
+
     def test_residual_and_frequency_invariants(self):
         for pot in (QUARTIC, SEXTIC, PRODUCT):
             for w in find_minima(pot):
@@ -197,9 +261,10 @@ class TestInstantonAction:
             instanton_action(PolynomialPotential(tuple(coeffs)), -1.0, 1.0)
 
     def test_stationary_points_beyond_float64_are_potential_error(self):
-        # V'/V'_lead has a coefficient of 1e600: the companion matrix of V' is not finite
-        with pytest.raises(PotentialError, match="cannot locate the stationary points"):
-            instanton_action(PolynomialPotential((1.0, 0.0, -2e300, 0.0, 1e-300)), -1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PotentialError, match=STATIONARY_MESSAGE):
+                instanton_action(BEYOND_FLOAT64, -1.0, 1.0)
 
     def test_trailing_zero_coefficients(self):
         # the companion matrix of V' is formed from its leading nonzero coefficient

@@ -1,4 +1,4 @@
-"""In-process time of the moment, gas-sum, triangle and Schrodinger layers, on two trees.
+"""In-process time of the moment, gas-sum, triangle, potential and Schrodinger layers, on two trees.
 
 Usage:
     python3 tools/layer_time.py BASE_TREE CHANGE_TREE
@@ -22,7 +22,10 @@ I(3, 4), `moment_kummer` at I(3, 4) and I(20, 20) near symmetry
 (|d| T = 1.5e-5), and `multi_instanton(20)` at |d| T = 0.09.  The
 triangle layer follows, `build_triangle` and `verify_column_relations`
 at depths 12 and 24 (ratio 2/5; the verification is timed on a triangle
-built beforehand).
+built beforehand).  The potential rows time `find_minima` and
+`well_parameters` at (lam 16, b 0) and (lam 64, b 0.5), each on a
+benchmark potential built in the timed call, as `benchmark_point` builds
+one (the minima that `well_parameters` reads are found beforehand).
 The Schrodinger rows time `lowest_eigenvalues(op, 2)` on the operators of
 the default 4001-point grid and its 8001-point refinement (lam 64, b 0.5;
 each operator is discretized beforehand), then `numeric_gap` on the
@@ -72,6 +75,13 @@ ROWS = (
     *((f"verify_column_relations depth {depth}, ratio 2/5",
        f"tri = triangle.build_triangle({depth}, Fraction(2, 5))", "triangle.verify_column_relations(tri)")
       for depth in (12, 24)),
+    *((f"find_minima (lam {lam:g}, b {b:g})", "",
+       f"potential.find_minima(schrodinger.benchmark_potential({lam}, {b}))")
+      for lam, b in ((16.0, 0.0), (64.0, 0.5))),
+    *((f"well_parameters (lam {lam:g}, b {b:g})",
+       f"left, right = potential.find_minima(schrodinger.benchmark_potential({lam}, {b}))",
+       f"potential.well_parameters(schrodinger.benchmark_potential({lam}, {b}), left, right)")
+      for lam, b in ((16.0, 0.0), (64.0, 0.5))),
     *((f"lowest_eigenvalues, {points}-point operator (lam 64, b 0.5)",
        f"op = schrodinger.discretize(schrodinger.benchmark_potential(64.0, 0.5), "
        f"schrodinger.GridSpec(-3.5, 3.5, {points}))",
@@ -87,7 +97,7 @@ ROWS = (
 # The names that every set-up statement and timed call sees.
 NAMES = """
 from fractions import Fraction
-from instanton_gas import moments, schrodinger, spectrum, triangle
+from instanton_gas import moments, potential, schrodinger, spectrum, triangle
 from instanton_gas.potential import WellParameters
 """
 
