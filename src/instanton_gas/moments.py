@@ -31,9 +31,9 @@ Both the recursion and the closed form cancel catastrophically for small
 from a bound on the closed form's |terms| (_working_digits), and round
 once to float64.  mpmath is imported on their first call.
 
-Quadrature is the oracle: composite Gauss-Legendre in numpy, checked
-against a second rule.  Below |d| T = 0.1 multi_instanton sums Kummer's
-series instead,
+Quadrature is the oracle: composite Gauss-Legendre in plain floats and
+ints, checked against a second rule.  Below |d| T = 0.1 multi_instanton
+sums Kummer's series instead,
 
     I(n,m) = (BT)^N/N! e^(-|d|T/2) M(p+1, N+1, |d|T),   N = n+m+1,
 
@@ -66,7 +66,9 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from math import comb, exp, factorial, frexp, ldexp, lgamma, log
+from operator import mul
 
 from .potential import ComputationError, ParameterError, WellParameters, _gauss_rule, _integral
 
@@ -88,6 +90,8 @@ _PANEL_SPAN = 16.0
 _TAIL = 300.0
 # Relative disagreement of the two rules beyond which the quadrature is refused.
 _QUADRATURE_RTOL = 1e-12
+# Bits of e^|a| in the quadrature's scalar factor, formed after the sum.
+_TAIL_BITS = 128
 # |d| T below which Kummer's series is summed: each term is at most a tenth
 # of the one before, so a dozen terms reach the float64 rounding.
 _KUMMER_DT = 0.1
@@ -407,19 +411,45 @@ def moment_recursive(max_n, max_m, params):
     return MomentTable(max_n, max_m, values)
 
 
+def _rounded(num, den, exponent):
+    """num / den * 2^exponent for ints num and den > 0, rounded once to
+    float64: Python divides ints with correct rounding, subnormal results
+    included.  Raises OverflowError beyond float64."""
+    if exponent < 0:
+        return num / (den << -exponent)
+    return (num << exponent) / den
+
+
+def _exact_dot(weights, weight_shift, values):
+    """sum_i w_i v_i for w_i = weights[i] 2^-weight_shift, weights ints, and
+    floats v_i >= 0, as (total, shift): the sum is the int total times 2^-shift.
+
+    Each v_i is taken as the int v_i 2^k, with k = 53 - e for the binary
+    exponent e of the least positive v_i, so the sum is exact.  Where that
+    v_i 2^k or 2^k would exceed float64, k is lowered to fit, and bits below
+    2^-k are dropped: only values more than 970 binary orders below the
+    largest, or below 2^-970, lose any.
+    """
+    top = frexp(max(values))[1]
+    k = min(53 - frexp(min(filter(None, values), default=1.0))[1], 1023 - max(top, 0))
+    scaled = map(int, map(mul, values, repeat(2.0**k)))
+    return sum(map(mul, weights, scaled)), k + weight_shift
+
+
 @cache
 def _panel_rule(panels):
-    """Nodes s on [0, 2] split into equal panels, and the weights of the fine
-    and the coarse Gauss-Legendre rule; the nodes of both rules in one array.
-    The fine weights are np.longdouble, so that their sum adds no rounding."""
-    import numpy as np
-
+    """The fine and the coarse Gauss-Legendre rule on [0, 2] split into equal
+    panels: the nodes s of both, the fine rule's first, in one tuple; the
+    fine weights as ints W and their shift k, w = W 2^-k, for _exact_dot;
+    and the coarse weights."""
     nodes, weights = [], []
     for count in (_FINE_NODES, _COARSE_NODES):
         x, w = _gauss_rule(count)
-        nodes.append(((np.arange(panels)[:, None] + (1.0 + x) / 2.0) * (2.0 / panels)).ravel())
-        weights.append(np.tile(w / panels, panels))
-    return np.concatenate(nodes), weights[0].astype(np.longdouble), weights[1]
+        nodes += [(i + (1.0 + xi) / 2.0) * (2.0 / panels) for i in range(panels) for xi in x]
+        weights.append(tuple(wi / panels for wi in w) * panels)
+    fine, coarse = weights
+    shift = 53 - frexp(min(fine))[1]
+    return tuple(nodes), tuple(int(ldexp(w, shift)) for w in fine), shift, coarse
 
 
 def moment_quadrature(key, params):
@@ -435,10 +465,18 @@ def moment_quadrature(key, params):
     degree n + m <= 2 DEPTH_CAP, which both rules (128 and 96 nodes per
     panel) integrate exactly; the panels, about |a|/8 of them, keep the
     exponential resolved.  Beyond |a| s = 300 the integrand is below 1e-40
-    of J, so for |a| > 150 only [0, 300/|a|] is integrated.  MomentError is
-    raised before any array exists when the stripped value certainly
-    exceeds float64, and QuadratureError when the two rules differ by more
-    than 1e-12 relative.
+    of J, so for |a| > 150 only [0, 300/|a|] is integrated.
+
+    The integrand is evaluated in plain floats.  The fine rule's sum is
+    formed exactly, in ints (_exact_dot); the coarse rule's is a plain sum,
+    which serves only the check.  B^N h^N e^|a| J / (n! m!), h = T/2, is
+    then formed exactly from the ints of B, h, J and the factorials but for
+    e^|a|, which mpmath gives at _TAIL_BITS bits from the exact |d| h, and
+    rounded once to float64.  B = 0 gives 0, and so does a value below
+    float64.  MomentError is raised before any node is evaluated when the
+    stripped value certainly exceeds float64, and after the sum when it
+    does; QuadratureError when the two rules differ by more than 1e-12
+    relative.
     """
     key = _as_key(key)
     n, m = key.n, key.m
@@ -447,48 +485,41 @@ def moment_quadrature(key, params):
         return MomentValue(0.0, 0.0, "quadrature")
     if _log_stripped_lower(n, m, _bound_logs(params)) > _LOG_HUGEST:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64")
-    import numpy as np
+    from mpmath.libmp import from_man_exp, mpf_exp
 
     d, b, h = params.delta, params.B, params.T / 2.0
-    a_exact = np.longdouble(abs(d)) * h
-    a = float(a_exact)
+    a = abs(d) * h
+    (dn, dd), (hn, hd), (an, ad) = (x.as_integer_ratio() for x in (abs(d), h, a))
     # The rounding of a moves the result by up to a * 1.1e-16 relative, so
     # above a = 1 the nodes carry it along.
-    a_lo = float(a_exact - a) if a >= 1.0 else 0.0
+    a_lo = (dn * hn * ad - an * dd * hd) / (dd * hd * ad) if a >= 1.0 else 0.0
     p, q = (m, n) if d >= 0.0 else (n, m)
     length = min(2.0, _TAIL / a) if a > 0.0 else 2.0
-    s, fine_w, coarse_w = _panel_rule(max(1, math.ceil(a * length / _PANEL_SPAN)))
+    s, fine_w, fine_shift, coarse_w = _panel_rule(max(1, math.ceil(a * length / _PANEL_SPAN)))
     if length < 2.0:
-        s = (length / 2.0) * s
-    exponent = s * -a
-    if a_lo:
-        exponent -= s * a_lo
-    g = np.exp(exponent)
-    g *= s**p
-    g *= (2.0 - s) ** q
+        s = [(length / 2.0) * x for x in s]
+    rate = -a
+    g = [exp(x * rate - x * a_lo) * x**p * (2.0 - x) ** q for x in s]
+    count = len(fine_w)
+    total, shift = _exact_dot(fine_w, fine_shift, g[:count])
     scale = length / 2.0
-    fine = scale * (fine_w @ g[: fine_w.size])
-    coarse = scale * float(coarse_w @ g[fine_w.size :])
-    difference = abs(float(fine) - coarse) / float(fine)
+    fine = scale * _rounded(total, 1, -shift)
+    coarse = scale * sum(map(mul, coarse_w, g[count:]))
+    difference = abs(fine - coarse) / fine
     if difference > _QUADRATURE_RTOL:
         raise QuadratureError(
             f"I({n}, {m}): the {_FINE_NODES}- and {_COARSE_NODES}-node rules disagree", difference
         )
-    # B^N h^N e^a J / (n! m!) as a mantissa times a power of two, so that no
-    # factor leaves the float64 range before the result does.  The mantissa
-    # is formed in np.longdouble and rounded once.
+    # e^|a| = exp_man 2^exp_shift, from the exact |d| h
+    _, exp_man, exp_shift, _ = mpf_exp(from_man_exp(dn * hn, 1 - (dd * hd).bit_length()), _TAIL_BITS)
     big_n = n + m + 1
-    k = round(a / _LN2)
-    mb, eb = frexp(b)
-    mh, eh = frexp(h)
-    mj, ej = np.frexp(fine)
-    mantissa = (
-        (np.longdouble(mb) * mh) ** big_n * mj
-        * np.exp((a_exact - k * _LN2_HI) - k * _LN2_LO)
-        / (factorial(n) * factorial(m))
-    )
+    (bn, bd), (ln, ld) = b.as_integer_ratio(), scale.as_integer_ratio()
     try:
-        stripped = ldexp(float(mantissa), big_n * (eb + eh) + k + int(ej))
+        stripped = _rounded(
+            (bn * hn) ** big_n * total * ln * exp_man,
+            (bd * hd) ** big_n * ld * factorial(n) * factorial(m),
+            exp_shift - shift,
+        )
     except OverflowError:
         raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
     return MomentValue(stripped, _damped(stripped, _decay(params)), "quadrature")

@@ -10,10 +10,10 @@ Every value of V, V' and V'' comes from one Horner routine, _horner, with
 the bits of numpy's polyval, and the stationary points that find_minima and
 instanton_action read from one companion-matrix solve, _stationary_points,
 with the bits of polyroots; numpy.polynomial is not used.
-numpy is imported by the functions that compute with it, and the
-Gauss-Legendre rules, which instanton_action shares with
-moments.moment_quadrature, are built on first use, so importing the module
-(and every command that only reads WellParameters) loads neither.
+numpy is imported by the functions that compute with it, so importing the
+module (and every command that only reads WellParameters) does not load
+it.  The Gauss-Legendre rules, which instanton_action shares with
+moments.moment_quadrature, are a table of constants.
 """
 
 from __future__ import annotations
@@ -296,48 +296,193 @@ def _is_local_minimum(potential, x, stationary):
     return potential(x - step) >= floor and potential(x + step) >= floor
 
 
-def _legendre(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence, in the dtype of x."""
-    p0, p1 = 1, x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, n * (x * p1 - p0) / (x * x - 1)
+# The non-negative half of each Gauss-Legendre rule on [-1, 1] that the
+# package uses: one line "x w" per node x >= 0, ascending, with its weight
+# w; _gauss_rule says where the values come from.  They are text, which
+# _gauss_rule parses, because every command imports this module and 288
+# float literals would take a call that never integrates about 1 ms to
+# compile where no bytecode is cached.
+_GAUSS_HALVES = {
+    64: """
+        0.024350292663424433 0.048690957009139724
+        0.07299312178779904 0.04857546744150343
+        0.12146281929612056 0.048344762234802954
+        0.16964442042399283 0.04799938859645831
+        0.21742364374000708 0.04754016571483031
+        0.2646871622087674 0.04696818281621002
+        0.31132287199021097 0.046284796581314416
+        0.3572201583376681 0.04549162792741814
+        0.4022701579639916 0.044590558163756566
+        0.4463660172534641 0.04358372452932345
+        0.48940314570705296 0.04247351512365359
+        0.5312794640198946 0.04126256324262353
+        0.571895646202634 0.03995374113272034
+        0.6111553551723933 0.038550153178615626
+        0.6489654712546573 0.03705512854024005
+        0.6852363130542333 0.035472213256882386
+        0.7198818501716109 0.033805161837141606
+        0.7528199072605319 0.03205792835485155
+        0.7839723589433414 0.030234657072402478
+        0.8132653151227975 0.028339672614259483
+        0.8406292962525803 0.02637746971505466
+        0.8659993981540928 0.024352702568710874
+        0.8893154459951141 0.022270173808383253
+        0.9105221370785028 0.02013482315353021
+        0.9295691721319396 0.017951715775697343
+        0.9464113748584028 0.015726030476024718
+        0.9610087996520538 0.013463047896718643
+        0.973326827789911 0.011168139460131128
+        0.983336253884626 0.008846759826363947
+        0.9910133714767443 0.006504457968978363
+        0.9963401167719553 0.004147033260562468
+        0.9993050417357722 0.001783280721696433
+    """,
+    96: """
+        0.01627674484960297 0.03255061449236317
+        0.04881298513604973 0.032516118713868836
+        0.08129749546442556 0.03244716371406427
+        0.11369585011066592 0.03234382256857593
+        0.14597371465489695 0.03220620479403025
+        0.17809688236761861 0.032034456231992664
+        0.2100313104605672 0.03182875889441101
+        0.24174315616384 0.03158933077072717
+        0.27319881259104917 0.031316425596861354
+        0.30436494435449635 0.031010332586313836
+        0.3352085228926254 0.030671376123669148
+        0.3656968614723136 0.030299915420827595
+        0.3957976498289086 0.029896344136328384
+        0.42547898840730053 0.029461089958167905
+        0.454709422167743 0.028994614150555237
+        0.48345797392059636 0.028497411065085385
+        0.5116941771546677 0.027970007616848334
+        0.5393881083243575 0.027412962726029243
+        0.5665104185613972 0.02682686672559176
+        0.593032364777572 0.026212340735672413
+        0.6189258401254686 0.02557003600534936
+        0.6441634037849671 0.02490063322248361
+        0.6687183100439161 0.024204841792364692
+        0.6925645366421715 0.02348339908592622
+        0.7156768123489676 0.022737069658329372
+        0.7380306437444001 0.02196664443874435
+        0.7596023411766475 0.0211729398921913
+        0.7803690438674332 0.020356797154333323
+        0.8003087441391408 0.01951908114014502
+        0.8194003107379316 0.018660679627411466
+        0.8376235112281871 0.01778250231604526
+        0.8549590334346014 0.016885479864245174
+        0.8713885059092965 0.015970562902562293
+        0.8868945174024204 0.015038721026994937
+        0.9014606353158523 0.01409094177231486
+        0.9150714231208981 0.013128229566961573
+        0.9277124567223087 0.01215160467108832
+        0.9393703397527552 0.011162102099838499
+        0.9500327177844377 0.010160770535008416
+        0.9596882914487426 0.009148671230783386
+        0.9683268284632642 0.008126876925698759
+        0.9759391745851365 0.007096470791153865
+        0.9825172635630147 0.006058545504235961
+        0.9880541263296237 0.005014202742927518
+        0.9925439003237626 0.003964554338444687
+        0.9959818429872093 0.0029107318179349465
+        0.9983643758631817 0.0018539607889469217
+        0.9996895038832307 0.0007967920655520124
+    """,
+    128: """
+        0.012223698960615764 0.024446180196262518
+        0.03666379096873349 0.024431569097850044
+        0.06108196960413957 0.02440235563384958
+        0.08546364050451549 0.024358557264690626
+        0.10979423112764375 0.024300200167971867
+        0.13405919946118777 0.02422731922281525
+        0.15824404271422493 0.024139957989019287
+        0.18233430598533718 0.024038168681024052
+        0.2063155909020792 0.023922012136703457
+        0.23017356422666 0.023791557781003402
+        0.2538939664226943 0.023646883584447616
+        0.2774626201779044 0.02348807601653591
+        0.3008654388776772 0.02331522999406276
+        0.32408843502441337 0.023128448824387027
+        0.3471177285976355 0.022927844143686846
+        0.369939555349859 0.02271353585023646
+        0.39254027503326744 0.022485652032744968
+        0.414906379552275 0.022244328893799764
+        0.43702450103710416 0.02198971066846049
+        0.4588814198335522 0.021721949538052076
+        0.48046407240417205 0.02144120553920846
+        0.5017595591361445 0.02114764646822135
+        0.5227551520511755 0.02084144778075115
+        0.5434383024128103 0.02052279248696007
+        0.5637966482266181 0.020191871042130043
+        0.5838180216287631 0.01984888123283086
+        0.6034904561585486 0.019494028058706602
+        0.6228021939105849 0.019127523609950944
+        0.6417416925623075 0.01874958694054471
+        0.660297632272646 0.01836044393733134
+        0.6784589224477192 0.017960327185008687
+        0.6962147083695144 0.017549475827117706
+        0.7135543776835874 0.01712813542311138
+        0.7304675667419088 0.016696557801589205
+        0.746944166797062 0.016255000909785187
+        0.7629743300440948 0.015803728659399347
+        0.7785484755064119 0.015343010768865144
+        0.7936572947621933 0.014873122602147314
+        0.8082917575079137 0.014394345004166847
+        0.8224431169556439 0.013906964132951985
+        0.8361029150609068 0.013411271288616333
+        0.8492629875779689 0.012907562739267348
+        0.8619154689395485 0.012396139543950923
+        0.8740527969580318 0.01187730737274028
+        0.8856677173453972 0.011351376324080417
+        0.8967532880491582 0.010818660739503076
+        0.9073028834017568 0.010279479015832158
+        0.9173101980809605 0.009734153415006806
+        0.9267692508789478 0.009183009871660874
+        0.9356743882779164 0.00862637779861675
+        0.9440202878302202 0.008064589890486059
+        0.9518019613412644 0.0074979819256347285
+        0.9590147578536999 0.006926892566898814
+        0.9656543664319652 0.006351663161707189
+        0.9717168187471366 0.005772637542865698
+        0.9771984914639074 0.00519016183267633
+        0.9820961084357185 0.004604584256702955
+        0.9864067427245862 0.004016254983738642
+        0.9901278184917344 0.0034255260409102157
+        0.9932571129002129 0.0028327514714579912
+        0.9957927585349812 0.0022382884309626186
+        0.997733248625514 0.0016425030186690294
+        0.9990774599773758 0.0010458126793403489
+        0.9998248879471319 0.00044938096029209035
+    """,
+}
+
+
+def _gauss_rule(n):
+    """The n-node Gauss-Legendre rule on [-1, 1]: ascending nodes and their
+    weights, as two tuples of floats, for n = 64 and 128 (instanton_action)
+    and 96 and 128 (moments.moment_quadrature).
+
+    The rules are _GAUSS_HALVES mirrored about 0.  Each node and weight
+    there is the exact one rounded once to float64: Newton's method on the
+    Legendre recurrence P_n, from Tricomi's asymptotic form of the nodes,
+    gives the node x at 50 digits in mpmath and the weight is
+    2 / ((1 - x^2) P_n'(x)^2); tests/test_potential.py recomputes every
+    entry so.  numpy's leggauss(128) is off by up to 1.4e-11 in its weights.
+    """
+    values = tuple(map(float, _GAUSS_HALVES[n].split()))
+    nodes, weights = values[0::2], values[1::2]
+    return tuple(-x for x in reversed(nodes)) + nodes, weights[::-1] + weights
 
 
 @cache
-def _gauss_rule(n):
-    """The n-node Gauss-Legendre rule on [-1, 1]: ascending nodes and weights.
-
-    Built on first use, since building it costs more than an integration
-    with it.  The nodes x >= 0 start from Tricomi's asymptotic form and take
-    two Newton steps on the recurrence in float64 and one in np.longdouble.
-    The weights 2 / ((1 - x^2) P_n'(x)^2) are then taken to first order in
-    the residual P_n/P_n' left by the rounding of x, whose effect grows like
-    1/(1 - x^2) towards the ends.  For the rules used here (64 to 128
-    nodes) nodes and weights come out correctly rounded; numpy's
-    leggauss(128) is off by up to 1.4e-11 in its weights.
-    """
+def _gauss_arrays(n):
+    """_gauss_rule(n) as two numpy arrays, built once for instanton_action."""
     import numpy as np
 
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2)) * (1 - (n - 1) / (8.0 * n**3))
-    for _ in range(2):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    x = x.astype(np.longdouble)
-    p, dp = _legendre(n, x)
-    x -= p / dp
-    p, dp = _legendre(n, x)
-    one_minus_x2 = (1 - x) * (1 + x)
-    w = 2 / (one_minus_x2 * dp * dp) * (1 + 2 * x * (p / dp) / one_minus_x2)
-    middle = n % 2  # an odd rule has the node 0 once
-    nodes = np.concatenate((-x, x[::-1][middle:])).astype(float)
-    weights = np.concatenate((w, w[::-1][middle:])).astype(float)
-    return nodes, weights
+    return tuple(map(np.array, _gauss_rule(n)))
 
 
 def _gauss_legendre(f, a, b, n):
-    nodes, weights = _gauss_rule(n)
+    nodes, weights = _gauss_arrays(n)
     half = 0.5 * (b - a)
     return half * float(weights @ f(0.5 * (a + b) + half * nodes))
 

@@ -19,7 +19,8 @@ numpy is imported by the functions that compute with it, so importing the
 module for its grid defaults loads no numpy.  The solver calls the Fortran
 `dstebz` that scipy's LAPACK wrapper, scipy.linalg._flapack, is built on,
 through ctypes, which releases the GIL for the call; the wrapper is loaded
-on first use without running the scipy.linalg package and its imports.  So
+on first use without running the scipy or scipy.linalg package and their
+imports.  So
 numeric_gap solves its two grids at once, the coarse one in a second
 thread, with the bits of one grid after the other.
 """
@@ -31,7 +32,7 @@ import threading
 from dataclasses import dataclass
 from functools import cache
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -218,16 +219,18 @@ def _dstebz():
     """LAPACK's dstebz from scipy.linalg._flapack, loaded once.
 
     The extension is found in scipy's linalg directory and loaded under its
-    own name, so scipy/linalg/__init__.py and the modules it imports never
-    run.  The module registers itself in sys.modules, and _FlapackHandover
-    passes it on to a later `import scipy.linalg`; if scipy.linalg came
-    first, its module is used.
+    own name, so neither scipy/__init__.py nor scipy/linalg/__init__.py, nor
+    the modules they import, run: find_spec locates the scipy package
+    without importing it.  The module registers itself in sys.modules, and
+    _FlapackHandover passes it on to a later `import scipy.linalg`; if
+    scipy.linalg came first, its module is used.
     """
-    import scipy
-
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        where = [f"{scipy.__path__[0]}/linalg"]
+        scipy = find_spec("scipy")
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        where = [f"{scipy.submodule_search_locations[0]}/linalg"]
         found = PathFinder.find_spec("_flapack", where)
         if found is None:
             raise ImportError(f"no {_FLAPACK} extension in {where[0]}", name=_FLAPACK)

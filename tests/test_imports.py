@@ -1,13 +1,15 @@
 """Import budget: the CLI loads only the package modules, numpy, mpmath and scipy that a command calls.
 
 A bare `import instanton_gas` loads no submodule: its names resolve on
-first access.  No command loads scipy.integrate: the quadrature oracle
-integrates by Gauss-Legendre in numpy, the gas sum needs no numpy at any
-asymmetry, and the grid commands load scipy's compiled LAPACK wrapper,
-scipy.linalg._flapack, without the scipy.linalg package.  No command loads
-numpy.polynomial: potential evaluates and solves its polynomials itself.  Every check of
-what is loaded runs in a fresh interpreter, because the pytest process
-itself imports whatever the other test modules use.
+first access.  No command loads scipy.integrate, and moments loads no
+numpy: the quadrature oracle integrates by Gauss-Legendre rules kept as
+constants, in plain floats and ints, and the gas sum needs no numpy at any
+asymmetry.  The grid commands load scipy's compiled LAPACK wrapper,
+scipy.linalg._flapack, without the scipy and scipy.linalg packages.  No
+command loads numpy.polynomial: potential evaluates and solves its
+polynomials itself.  Every check of what is loaded runs in a fresh
+interpreter, because the pytest process itself imports whatever the other
+test modules use.
 """
 
 import json
@@ -102,8 +104,29 @@ grid_commands = pytest.mark.parametrize("argv", [
 def test_grid_commands_load_flapack_not_linalg_package_or_integrate(argv):
     loaded = heavy_loaded(*argv)
     assert "numpy" in loaded
-    assert {m for m in loaded if m.startswith("scipy.linalg")} == {"scipy.linalg._flapack"}
-    assert "scipy.integrate" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == {"scipy.linalg._flapack"}
+
+
+_LINALG_AFTER_BENCHMARK = """
+import contextlib, io, json, sys
+import instanton_gas.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+bound = scipy.linalg._flapack
+print(json.dumps([scipy_modules, bound is sys.modules["scipy.linalg._flapack"], bound.dstebz is flapack.dstebz]))
+"""
+
+
+def test_scipy_linalg_imported_after_benchmark_binds_its_flapack():
+    # the benchmark's solve loads the extension without running scipy/__init__.py; a later
+    # `import scipy.linalg` binds the extension, with the dstebz that the solver called
+    argv = ["benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3"]
+    proc = fresh("-c", _LINALG_AFTER_BENCHMARK, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["scipy.linalg._flapack"], True, True]
 
 
 _EVERY_COMMAND = """
@@ -197,14 +220,24 @@ def test_first_gap_loads_flapack_once():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 1\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("moments", "--n", "1", "--m", "1", *_WELL, "--T", "2", "--method", "quadrature"),
-    ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),
-])
-def test_quadrature_loads_numpy_and_no_scipy(argv):
-    loaded = heavy_loaded(*argv)
-    assert "numpy" in loaded
-    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+def test_moments_loads_neither_numpy_nor_scipy():
+    # sys.modules only grows, so one process running every method shows it for each
+    symmetric = ("--omega0", "1.5", "--omega1", "1.5", "--B", "0.3")
+    commands = [
+        ("moments", "--n", "3", "--m", "4", *(symmetric if method == "symmetric" else _WELL), "--T", "2",
+         "--method", method)
+        for method in ("closed", "recursive", "quadrature", "symmetric", "all")
+    ]
+    proc = fresh("-c", _EVERY_COMMAND, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert "instanton_gas.moments" in modules and "mpmath" in modules
+    assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_no_module_names_longdouble():
+    # np.longdouble has 64 mantissa bits only on x86 Linux; elsewhere it is float64
+    assert [p.name for p in sorted((SRC / "instanton_gas").glob("*.py")) if "longdouble" in p.read_text()] == []
 
 
 def test_near_symmetric_sum_loads_no_numpy_mpmath_or_scipy():

@@ -36,6 +36,8 @@ COMMANDS = (
     ("sum near-symmetric --terms 40",
      ("sum", "--omega0", "2.00001", "--omega1", "2", "--B", "0.5", "--T", "3", "--terms", "40"), 0),
     ("moments --method all", ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"), 0),
+    ("moments --method quadrature",
+     ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "quadrature"), 0),
     ("moments --method symmetric",
      ("moments", "--n", "1", "--m", "2", "--omega0", "1.5", "--omega1", "1.5", "--B", "0.3", "--T", "2",
       "--method", "symmetric"), 0),

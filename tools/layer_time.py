@@ -11,8 +11,11 @@ so that the host's drift over a round moves both sides of a row alike,
 and their order alternates from one round to the next.  The process
 imports the package, makes one untimed call (which loads what the call
 imports), and times the call with timeit: autorange picks the number of
-calls per repeat, and the process reports the median of REPEATS repeats
-per call.  The table gives the median of RUNS rounds in microseconds.  The
+calls per repeat, and the process reports the least of REPEATS repeats
+per call, the one that the host's other load slowed least.  The table
+gives, in microseconds, the median over RUNS rounds of each tree's time,
+and the median of the per-round ratio change/base, which the drift of the
+host between rounds moves less than it moves either time.  The
 rows are `gas_sum_partial(params, 40)` at two near-symmetric points
 (|d| T = 1.5e-5, and 0.09, where the Kummer route's series are longest) and
 one asymmetric point (|d| T = 1, the closed form in mpmath), then one row
@@ -102,14 +105,14 @@ from instanton_gas.potential import WellParameters
 """
 
 _CHILD = f"""
-import statistics, sys, timeit
+import sys, timeit
 names = {{}}
 exec({NAMES!r}, names)
 exec(sys.argv[1], names)
 timer = timeit.Timer(sys.argv[2], globals=names)
 timer.timeit(1)
 number, _ = timer.autorange()
-print(statistics.median(timer.repeat({REPEATS}, number)) / number * 1e6)
+print(min(timer.repeat({REPEATS}, number)) / number * 1e6)
 """
 
 
@@ -140,12 +143,13 @@ def main(argv=None):
                 for side in ((0, 1) if run % 2 == 0 else (1, 0)):
                     times[side][label].append(call_us(setup, call, envs[side]))
 
-    print(f"us per call; median of {RUNS} rounds")
-    print(f"| call | {args.base} | {args.change} |")
-    print("|---|---:|---:|")
+    print(f"us per call, the least of {REPEATS} repeats per process; median of {RUNS} rounds")
+    print(f"| call | {args.base} | {args.change} | change/base |")
+    print("|---|---:|---:|---:|")
     for label, *_ in ROWS:
         base, change = (statistics.median(side[label]) for side in times)
-        print(f"| {label} | {base:.0f} | {change:.0f} |")
+        ratio = statistics.median(c / b for b, c in zip(times[0][label], times[1][label]))
+        print(f"| {label} | {base:.0f} | {change:.0f} | {ratio:.2f} |")
 
 
 if __name__ == "__main__":
