@@ -17,7 +17,7 @@ from dataclasses import astuple, fields
 
 # Every command needs potential; each _run_* imports the other modules it
 # computes with, so that a command loads (and compiles) no module it does not run.
-from .potential import ComputationError, ParameterError, WellParameters
+from .potential import ComputationError, InconsistentParametersError, ParameterError, WellParameters
 
 FORMATS = ("csv", "json", "table")
 
@@ -32,20 +32,6 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.parameter = parameter
-
-
-def _parse_ratio(text):
-    from fractions import Fraction
-
-    text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise CliError(
-            "bad-value", "exact rational required (p/q); decimals are rejected", "ratio"
-        )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("bad-value", f"cannot parse ratio {text!r}: {exc}", "ratio")
 
 
 def _well_parameters(a):
@@ -104,10 +90,9 @@ def _run_spectrum(a):
 
 def _run_moments(a):
     from .moments import (
-        DEPTH_CAP,
         MomentError,
         MomentKey,
-        MomentKeyError,
+        SymmetricLimitError,
         moment_closed,
         moment_kummer,
         moment_quadrature,
@@ -116,10 +101,7 @@ def _run_moments(a):
 
     params = _well_parameters(a)
     n, m, method = a.n, a.m, a.method
-    try:
-        key = MomentKey(n, m)
-    except MomentKeyError as exc:
-        raise CliError("bad-value", str(exc), "m" if 0 <= n <= DEPTH_CAP else "n")
+    key = MomentKey(n, m)
     known = ("closed", "recursive", "quadrature", "symmetric", "all")
     if method not in known:
         raise CliError("bad-value", f"method must be one of {known}", "method")
@@ -132,13 +114,11 @@ def _run_moments(a):
         if method in ("quadrature", "all"):
             values.append(("quadrature", moment_quadrature(key, params)))
         if method == "symmetric":
-            if params.delta != 0.0:
-                raise CliError(
-                    "bad-value", "symmetric method requires omega0 == omega1", "method"
-                )
             values.append(("symmetric", moment_kummer(key, params)))
     except ParameterError:
         raise
+    except SymmetricLimitError as exc:  # its advice names moment_kummer, which --method symmetric runs
+        raise CliError("numerical", str(exc).replace("moment_kummer", "--method symmetric"), "method")
     except MomentError as exc:
         raise CliError("numerical", str(exc), "method")
 
@@ -180,7 +160,7 @@ def _run_sum(a):
 def _run_triangle_verify(a):
     from .triangle import build_triangle, verify_column_relations
 
-    report = verify_column_relations(build_triangle(a.depth, _parse_ratio(a.ratio)))
+    report = verify_column_relations(build_triangle(a.depth, a.ratio))
     families = sorted(report.families.items())
     obj = {
         "depth": report.depth,
@@ -398,7 +378,7 @@ def main(argv=None):
         try:
             obj, csv_text, table_text = ns.run(ns)
         except ParameterError as exc:  # a well parameter, or a package function's argument
-            code = "contradictory-parameters" if "inconsistent" in str(exc) else "bad-value"
+            code = "contradictory-parameters" if isinstance(exc, InconsistentParametersError) else "bad-value"
             raise CliError(code, str(exc), exc.parameter)
         # rendered in every format, so that no format prints NaN or infinity
         texts = {"json": _json(obj), "csv": csv_text, "table": table_text}

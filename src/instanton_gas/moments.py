@@ -124,19 +124,20 @@ class SymmetricLimitError(MomentError):
     """delta too small for the recursion; use moment_kummer."""
 
 
-class MomentKeyError(MomentError, ValueError):
-    """Index pair negative or beyond DEPTH_CAP."""
-
-
 class MomentParameterError(ParameterError, MomentError):
     """An argument outside its domain, or absent; `parameter` names it."""
+
+
+class MomentKeyError(MomentParameterError):
+    """An index not an integer, negative or beyond DEPTH_CAP; `parameter` is n or m."""
 
 
 @dataclass(frozen=True)
 class MomentKey:
     """Index pair: n events toward the softer side, m back.
 
-    Integral values of other types (2.0, numpy integers) are stored as int."""
+    Integral values of other types (2.0, numpy integers) are stored as int;
+    the first index that is not an integer in [0, DEPTH_CAP] raises MomentKeyError."""
 
     n: int
     m: int
@@ -145,12 +146,12 @@ class MomentKey:
         for name in ("n", "m"):
             value = _integral(getattr(self, name))
             if value is None:
-                raise MomentKeyError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise MomentKeyError(name, f"{name} must be an integer, got {getattr(self, name)!r}")
+            if value < 0:
+                raise MomentKeyError(name, "n and m must be non-negative")
+            if value > DEPTH_CAP:
+                raise MomentKeyError(name, f"n, m capped at {DEPTH_CAP}")
             object.__setattr__(self, name, value)
-        if self.n < 0 or self.m < 0:
-            raise MomentKeyError("n and m must be non-negative")
-        if self.n > DEPTH_CAP or self.m > DEPTH_CAP:
-            raise MomentKeyError(f"n, m capped at {DEPTH_CAP}")
 
 
 @dataclass(frozen=True)

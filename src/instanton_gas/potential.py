@@ -67,6 +67,10 @@ class ParameterError(ValueError):
         self.parameter = parameter
 
 
+class InconsistentParametersError(ParameterError):
+    """Given values that contradict each other, such as B and K exp(-s_inst)."""
+
+
 def _integral(value):
     """value as an int when it is integral (2, 2.0, a numpy integer), else None."""
     try:
@@ -134,7 +138,8 @@ class WellParameters:
     delta = (omega0 - omega1)/2 is derived, never supplied; it may be
     negative.  Either B or the pair (K, s_inst) may be given; the missing
     side is derived (B = K exp(-s_inst)) or left as None.  Every given
-    value must be finite; a bad one raises ParameterError naming it.
+    value must be finite; a bad one raises ParameterError naming it, and a
+    B that differs from K exp(-s_inst) InconsistentParametersError.
     """
 
     omega0: float
@@ -160,7 +165,7 @@ class WellParameters:
         elif derived is not None:
             tol = 1e-12 * max(abs(self.B), abs(derived), 1e-300)
             if abs(self.B - derived) > tol:
-                raise ParameterError(
+                raise InconsistentParametersError(
                     "B",
                     f"inconsistent inputs: B={self.B!r} but K*exp(-s_inst)={derived!r}",
                 )

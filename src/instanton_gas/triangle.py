@@ -18,9 +18,9 @@ for |r| < 1/2) no longer moves the float64 value.
 The triangle holds every coefficient as a Python int times one scale,
 q^(depth+1) for r = p/q: a coefficient of an entry with n+m = t is an
 integer over q^(t+1), so below the last row r w is the exact p w // q.
-Every column sum comes from one table per triangle: the prefix sums of
-both branches along each diagonal (n-k, m-k), k >= 0, in the same scaled
-ints.  A truncated column sum of `count` terms starting at (n, m) is the
+Every column sum comes from one table, built with the triangle: the prefix
+sums of both branches along each diagonal (n-k, m-k), k >= 0, in the same
+scaled ints.  A truncated column sum of `count` terms starting at (n, m) is the
 difference of the rows (n+count-1, m+count-1) and (n-1, m-1), and each
 identity is checked exactly by cross-multiplying with p and q, e.g.
 q S = p (S_a - S_b) for S = r (S_a - S_b).  Fractions are built only where
@@ -30,10 +30,9 @@ central_sequence divide by the scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, exp, factorial, isfinite, sqrt
+from math import comb, isfinite, sqrt
 
 from .potential import ComputationError, ParameterError, _integral
 
@@ -55,19 +54,23 @@ class TriangleParameterError(ParameterError, TriangleError):
 
 
 def _as_ratio(value):
+    """value, a Fraction, an int or a string `p/q` or integer, as a nonzero exact
+    ratio; anything else, decimals and exponents too, raises TriangleParameterError."""
     if isinstance(value, float):
         raise TriangleParameterError("ratio", "exact ratio required: floats are rejected")
-    if isinstance(value, Fraction):
-        ratio = value
-    elif isinstance(value, int):
-        ratio = Fraction(value)
-    elif isinstance(value, str):
-        ratio = Fraction(value)
-    else:
+    if isinstance(value, str):
+        text = value.strip()
+        if "." in text or "e" in text.lower():
+            raise TriangleParameterError("ratio", "exact rational required (p/q); decimals are rejected")
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise TriangleParameterError("ratio", f"cannot parse ratio {text!r}: {exc}") from None
+    elif not isinstance(value, (int, Fraction)):
         raise TriangleParameterError("ratio", f"cannot interpret {value!r} as an exact ratio")
-    if ratio == 0:
+    if value == 0:
         raise TriangleParameterError("ratio", "ratio must be nonzero")
-    return ratio
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,9 @@ class CoefficientTriangle:
 
     `_plus[(n, m)]` and `_minus[(n, m)]` hold the coefficients of I(n, m)
     on the e^(+dT/2) and e^(-dT/2) branches, index j for (BT)^j/j!, as
-    ints: each is the coefficient times `scale`.
+    ints: each is the coefficient times `scale`.  `_sums`, built once from
+    them, holds both branches' diagonal prefix sums (_diagonal_sums), from
+    which every column sum is read.
     """
 
     depth: int
@@ -102,6 +107,11 @@ class CoefficientTriangle:
     scale: int
     _plus: dict
     _minus: dict
+    _sums: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sums = tuple(_diagonal_sums(store, self.depth) for store in (self._plus, self._minus))
+        object.__setattr__(self, "_sums", sums)
 
     def entry(self, n, m):
         """Nonzero basis coefficients of I(n, m), plus branch first."""
@@ -121,38 +131,11 @@ class CoefficientTriangle:
         store = self._plus if sign == "+" else self._minus
         return tuple(Fraction(w, self.scale) for w in store[self._key(n, m)])
 
-    def evaluate(self, n, m, B, delta, T):
-        """Float value of the stripped I(n, m) from the exact coefficients.
-
-        B/delta must match the construction ratio (checked loosely: the
-        caller usually holds floats); delta = 0 raises TriangleParameterError,
-        and a ratio, a coefficient, e^(+-dT/2) or a power (BT)^j beyond
-        float64 raises TriangleError, as does a B T or delta T that is not
-        finite.
-        """
-        if delta == 0:
-            raise TriangleParameterError("delta", "delta must be nonzero: B/delta is the triangle ratio")
-        try:
-            ratio = float(self.ratio)
-        except OverflowError:
-            raise TriangleError(f"the triangle ratio {self.ratio} is beyond float64") from None
-        if abs(B / delta - ratio) > 1e-9 * abs(ratio):
-            raise TriangleError("B/delta does not match the triangle ratio")
-        key = self._key(n, m)
-        bt, dt = B * T, delta * T
-        if not (isfinite(bt) and isfinite(dt)):
-            # exp(inf) and inf ** j raise no OverflowError: the sum would be inf or nan
-            raise TriangleError(f"B T and delta T must be finite, got {bt!r} and {dt!r}")
-        total = 0.0
-        try:
-            ep, em = exp(dt / 2.0), exp(-dt / 2.0)
-            for j, w in enumerate(self._plus[key]):
-                total += w / self.scale * ep * bt**j / factorial(j)
-            for j, w in enumerate(self._minus[key]):
-                total += w / self.scale * em * bt**j / factorial(j)
-        except OverflowError:
-            raise TriangleError(f"a term of I({n}, {m}) is beyond float64") from None
-        return total
+    def _column(self, branch, n, m, count, j):
+        """Scaled coefficient j of sum_{k<count} I(n+k, m+k); branch 0 is +, 1 is -."""
+        rows = self._sums[branch]
+        below = rows[(n - 1, m - 1)][j] if n and m else 0
+        return rows[(n + count - 1, m + count - 1)][j] - below
 
     def _key(self, n, m):
         n, m = _index("n", n), _index("m", m)
@@ -167,14 +150,15 @@ def build_triangle(depth, ratio):
     For r = p/q the coefficients are ints over the scale q^(depth+1).  A
     coefficient of an entry with n+m = t < depth is then a multiple of
     q^(depth-t), so r w is the exact p * w // q, and the unit term r that
-    each boundary entry adds is p q^depth.  An integral depth outside
-    [0, DEPTH_CAP] or a non-integral one raises TriangleParameterError.
+    each boundary entry adds is p q^depth.  A ratio that _as_ratio refuses,
+    then an integral depth outside [0, DEPTH_CAP] or a non-integral one,
+    raises TriangleParameterError.
     """
+    r = _as_ratio(ratio)
     index = _integral(depth)
     if index is not None and not 0 <= index <= DEPTH_CAP:
         raise TriangleParameterError("depth", f"depth must be in [0, {DEPTH_CAP}]")
     depth = _index("depth", depth)
-    r = _as_ratio(ratio)
     p, q = r.numerator, r.denominator
     unit = p * q**depth
     plus = {(0, 0): (unit,)}
@@ -234,33 +218,22 @@ def closed_form_coefficients(key, ratio):
     return out
 
 
-class _DiagonalSums:
-    """Prefix sums of both branches along every diagonal, as scaled ints.
+def _diagonal_sums(store, depth):
+    """Prefix sums of one branch along every diagonal, as scaled ints.
 
-    Row (n, m) of a branch holds the sum of the entries (n-k, m-k), k >= 0,
-    in the triangle's scaled ints.  Rows are zero-padded to depth + 2
-    coefficients, one more than an entry holds, so that every index a
-    column identity reads is in range.
+    Row (n, m) holds the sum of the entries (n-k, m-k), k >= 0.  Rows are
+    zero-padded to depth + 2 coefficients, one more than an entry holds, so
+    that every index a column identity reads is in range.
     """
-
-    def __init__(self, triangle):
-        self.scale = triangle.scale
-        self._zero = [0] * (triangle.depth + 2)
-        self._rows = ({}, {})
-        for store, rows in zip((triangle._plus, triangle._minus), self._rows):
-            for total in range(triangle.depth + 1):
-                for n in range(total + 1):
-                    m = total - n
-                    below = rows.get((n - 1, m - 1), self._zero)
-                    rows[(n, m)] = [a + b for a, b in zip_longest(store[(n, m)], below, fillvalue=0)]
-
-    def column(self, branch, n, m, count, j):
-        """Scaled coefficient j of sum_{k<count} I(n+k, m+k); branch 0 is +, 1 is -."""
-        rows = self._rows[branch]
-        return rows[(n + count - 1, m + count - 1)][j] - rows.get((n - 1, m - 1), self._zero)[j]
-
-    def exact(self, branch, n, m, count, j):
-        return Fraction(self.column(branch, n, m, count, j), self.scale)
+    zero = [0] * (depth + 2)
+    rows = {}
+    for total in range(depth + 1):
+        for n in range(total + 1):
+            m = total - n
+            below = rows.get((n - 1, m - 1), zero)
+            entry = store[(n, m)]
+            rows[(n, m)] = [a + b for a, b in zip(entry, below)] + below[len(entry):]
+    return rows
 
 
 def _max_count(triangle, n, m):
@@ -296,9 +269,9 @@ def column_coefficients(triangle, n, m, order):
     if (n + order) + (m + order) > triangle.depth:
         raise TriangleError("column exceeds triangle depth")
     count = order + 1
-    sums = _DiagonalSums(triangle)
-    plus = [sums.exact(0, n, m, count, j) for j in range(order)]
-    minus = [sums.exact(1, n, m, count, j) for j in range(order)]
+    column, scale = triangle._column, triangle.scale
+    plus = [Fraction(column(0, n, m, count, j), scale) for j in range(order)]
+    minus = [Fraction(column(1, n, m, count, j), scale) for j in range(order)]
 
     r = triangle.ratio
     flags = [False] * order
@@ -335,9 +308,9 @@ def central_sequence(triangle, order):
         raise StabilizationError(
             f"coefficient a_{half + 1} is not stabilized at depth {triangle.depth}"
         )
-    sums = _DiagonalSums(triangle)
+    column, scale = triangle._column, triangle.scale
     return tuple(
-        tuple(sums.exact(branch, i, i, half - i + 1, i) for i in range(order + 1))
+        tuple(Fraction(column(branch, i, i, half - i + 1, i), scale) for i in range(order + 1))
         for branch in (0, 1)
     )
 
@@ -371,7 +344,7 @@ def verify_column_relations(triangle):
     p, q = r.numerator, r.denominator
     depth = triangle.depth
     jcap = depth // 2
-    column = _DiagonalSums(triangle).column
+    column = triangle._column
     families = {}
 
     # subtraction rule: S_j(n,m) = r [S_j(n,m-1) - S_j(n-1,m)], same count

@@ -123,6 +123,27 @@ class TestMomentsCommand:
         assert code == 2
         assert json.loads(out)["code"] == "bad-value"
 
+    def test_symmetric_method_near_equal_frequencies(self, capsys):
+        # |d| T = 1e-6 lies in moment_kummer's domain, |d| T < 0.1
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "1", "--m", "2", "--omega0", "2.000001", "--omega1", "2",
+            "--B", "0.3", "--T", "2", "--method", "symmetric", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        (row,) = strict_json(out)["rows"]
+        value = moments.moment_kummer((1, 2), WellParameters(omega0=2.000001, omega1=2.0, B=0.3, T=2.0))
+        assert (row["stripped"], row["full"]) == (value.stripped, value.full)
+
+    @pytest.mark.parametrize("method", ["closed", "recursive", "all"])
+    def test_equal_frequencies_point_at_symmetric_method(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "1", "--m", "2", "--omega0", "1.5", "--omega1", "1.5",
+            "--B", "0.3", "--T", "2", "--method", method, "--format", "json",
+        )
+        assert code == 1 and err == ""
+        error = assert_error_object(code, out, "method")
+        assert error["code"] == "numerical" and error["message"].endswith(": use --method symmetric")
+
     # B**N and T**N formed apart give 0.0 for the first and overflow for the second; the
     # reference is (BT)^N / N! of the same float inputs at 50 digits
     @pytest.mark.parametrize("n, m, omega, B, T", [
@@ -219,6 +240,30 @@ class TestTriangleCommand:
         data = json.loads(out)
         assert data["total_failures"] == 0
         assert data["ratio"] == "-3/7"
+
+    # the golden file holds depth 8 only; the counts (index-shift, main-rule,
+    # off-diagonal, subtraction, total) do not depend on the ratio
+    @pytest.mark.parametrize("ratio", ["2/5", "-3/7", "7/2"])
+    @pytest.mark.parametrize("depth, counts", [
+        (12, (546, 76, 126, 770, 1518)),
+        (18, (1710, 196, 405, 2720, 5031)),
+        (24, (3900, 370, 936, 6578, 11784)),
+    ])
+    def test_json_report_at_depth(self, capsys, depth, ratio, counts):
+        code, out, err = run_cli(
+            capsys, "triangle-verify", "--depth", str(depth), f"--ratio={ratio}", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        *checked, total = counts
+        families = ("index-shift", "main-rule", "off-diagonal", "subtraction")
+        expected = {
+            "depth": depth,
+            "families": {name: {"checked": c, "failed": 0} for name, c in zip(families, checked)},
+            "ratio": ratio,
+            "total_checked": total,
+            "total_failures": 0,
+        }
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_decimal_ratio_rejected(self, capsys):
         code, out, _ = run_cli(

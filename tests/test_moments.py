@@ -704,6 +704,18 @@ class TestValidation:
         with pytest.raises(MomentKeyError, match=f"{name} must be an integer"):
             moment_closed(key, P_EXAMPLE)
 
+    @pytest.mark.parametrize("key, parameter, message", [
+        ((70, -1), "n", "n, m capped at 64"),
+        ((3, 70), "m", "n, m capped at 64"),
+        ((-1, 0), "n", "n and m must be non-negative"),
+        ((0, -2), "m", "n and m must be non-negative"),
+        ((1, 2.5), "m", "m must be an integer, got 2.5"),
+    ])
+    def test_bad_index_is_parameter_error_naming_it(self, key, parameter, message):
+        with pytest.raises(MomentParameterError) as excinfo:
+            MomentKey(*key)
+        assert str(excinfo.value) == message and excinfo.value.parameter == parameter
+
     def test_integral_index_of_any_type(self):
         assert MomentKey(2.0, True) == MomentKey(2, 1)
         assert type(MomentKey(2.0, 1).n) is int

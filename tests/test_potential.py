@@ -10,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 
 from instanton_gas.potential import (
     AsymmetricDepthsError,
+    InconsistentParametersError,
     NoWellsError,
     PolynomialPotential,
     PotentialError,
@@ -342,6 +343,12 @@ class TestWellParameters:
     def test_inconsistent_b_and_prefactor(self):
         with pytest.raises(ValueError, match="inconsistent"):
             WellParameters(omega0=1.0, omega1=2.0, T=1.0, B=0.3, K=1.0, s_inst=0.0)
+
+    def test_inconsistency_has_its_own_type(self):
+        # the command line reports this type alone as contradictory-parameters
+        with pytest.raises(InconsistentParametersError) as excinfo:
+            WellParameters(omega0=1.0, omega1=2.0, T=1.0, B=0.3, K=1.0, s_inst=0.0)
+        assert excinfo.value.parameter == "B"
 
     def test_consistent_b_and_prefactor_accepted(self):
         s = 1.2039728043259361

@@ -25,10 +25,12 @@ I(3, 4), `moment_kummer` at I(3, 4) and I(20, 20) near symmetry
 (|d| T = 1.5e-5), and `multi_instanton(20)` at |d| T = 0.09.  The
 triangle layer follows, `build_triangle` and `verify_column_relations`
 at depths 12 and 24 (ratio 2/5; the verification is timed on a triangle
-built beforehand).  The potential rows time `find_minima` and
-`well_parameters` at (lam 16, b 0) and (lam 64, b 0.5), each on a
-benchmark potential built in the timed call, as `benchmark_point` builds
-one (the minima that `well_parameters` reads are found beforehand).
+built beforehand, and build_triangle makes the triangle's diagonal-sum
+table), then the two in one call at depth 24.  The potential rows time
+`find_minima` and `well_parameters` at (lam 16, b 0) and (lam 64, b 0.5),
+each on a benchmark potential built in the timed call, as
+`benchmark_point` builds one (the minima that `well_parameters` reads are
+found beforehand).
 The Schrodinger rows time `lowest_eigenvalues(op, 2)` on the operators of
 the default 4001-point grid and its 8001-point refinement (lam 64, b 0.5;
 each operator is discretized beforehand), then `numeric_gap` on the
@@ -78,6 +80,8 @@ ROWS = (
     *((f"verify_column_relations depth {depth}, ratio 2/5",
        f"tri = triangle.build_triangle({depth}, Fraction(2, 5))", "triangle.verify_column_relations(tri)")
       for depth in (12, 24)),
+    ("build_triangle + verify_column_relations depth 24, ratio 2/5", "",
+     "triangle.verify_column_relations(triangle.build_triangle(24, Fraction(2, 5)))"),
     *((f"find_minima (lam {lam:g}, b {b:g})", "",
        f"potential.find_minima(schrodinger.benchmark_potential({lam}, {b}))")
       for lam, b in ((16.0, 0.0), (64.0, 0.5))),
