@@ -115,8 +115,11 @@ def _run_moments(a):
             values.append(("quadrature", moment_quadrature(key, params)))
         if method == "symmetric":
             values.append(("symmetric", moment_kummer(key, params)))
-    except ParameterError:
-        raise
+    except ParameterError as exc:
+        if exc.parameter != "delta":
+            raise
+        # moment_kummer's domain |delta| T < 0.1, set by three flags, is where --method symmetric runs
+        raise CliError("bad-value", str(exc), "method")
     except SymmetricLimitError as exc:  # its advice names moment_kummer, which --method symmetric runs
         raise CliError("numerical", str(exc).replace("moment_kummer", "--method symmetric"), "method")
     except MomentError as exc:

@@ -50,14 +50,15 @@ it needs about half as many as M.  At d = 0, the paper's symmetric limit,
 both series are 1 and I is (BT)^N/N! alone: moment_kummer is the
 evaluator there too.  No route loads scipy.
 
-Off the Kummer diagonal every route forms the full value, stripped
-e^(-(w0+w1)T/4), by _damped.  The gas sum's terms come from _diagonal
-alone, which takes the route once, by _kummer_route.  Below the threshold
-it runs the diagonal kernel, _kummer_diagonal, in one pass, with the
-damping folded into each term's mantissa and power of two, so a term
-below float64 is 0 by itself; multi_instanton and moment_kummer at n = m
-read the same kernel, so the three give the same bits.  Above it, terms
-below float64 are skipped by a bound read from tables of ln k!.
+Every route ends in one exit, _moment_value, which rounds the exact
+stripped value once, refuses it beyond float64, and forms the full value,
+times e^(-(w0+w1)T/4), from its 53-bit significand.  The gas sum's terms
+come from _diagonal alone, which takes the route once, by _kummer_route.
+Below the threshold it runs the diagonal kernel, _kummer_diagonal, in one
+pass, with the exit's damping inline, so a term below float64 is 0 by
+itself; multi_instanton and moment_kummer at n = m read the same kernel,
+so the three give the same bits.  Above it, terms below float64 are
+skipped by a bound read from tables of ln k!.
 """
 
 from __future__ import annotations
@@ -201,11 +202,6 @@ def _decay(params):
     return (params.omega0 / 4.0 + params.omega1 / 4.0) * params.T
 
 
-def prefactor(params):
-    """Common damping factor e^(-(w0+w1)T/4)."""
-    return exp(-_decay(params))
-
-
 def _damping(x):
     """(dm, k) with e^(-x) = dm 2^-k, for x >= 0: the frexp of e^(-x) where
     that is a normal float.  Beyond x = 708.4 it is subnormal or 0, so
@@ -219,18 +215,33 @@ def _damping(x):
     return exp((k * _LN2_HI - x) + k * _LN2_LO), k
 
 
-def _damped(stripped, x):
-    """stripped e^(-x) for x >= 0: a full value from its stripped one.
+def _beyond_float64(n, m):
+    """The MomentError of a stripped I(n, m) that exceeds float64."""
+    return MomentError(f"stripped I({n}, {m}) exceeds float64")
 
-    The product with e^(-x) where that is a normal float; else the mantissa
-    of stripped is scaled by the dm of _damping, and ldexp applies 2^-k last.
+
+def _moment_value(method, n, m, num, den, exponent, params):
+    """The MomentValue of the exact stripped I(n, m) = num/den 2^exponent:
+    the one float64 exit of every route.
+
+    num and den > 0 are ints, or num is a Kummer kernel's float mantissa and
+    den is 1.  The stripped value is rounded once, and MomentError is raised
+    where it exceeds float64.  The full value is ldexp(significand dm, e - k)
+    for the stripped value's significand 2^e, rounded once to 53 bits even
+    where the stripped value is subnormal, and the _damping (dm, k) of
+    _decay(params): the expression _diagonal applies to each gas-sum term.
     """
-    factor = exp(-x)
-    if factor >= sys.float_info.min:
-        return stripped * factor
-    dm, k = _damping(x)
-    mantissa, exponent = frexp(stripped)
-    return ldexp(mantissa * dm, exponent - k)
+    try:
+        if isinstance(num, float):
+            stripped, significand = ldexp(num, exponent), num
+        else:
+            stripped = _rounded(num, den, exponent)
+            shift = abs(num).bit_length() - den.bit_length()
+            significand, exponent = _rounded(num, den, -shift), exponent + shift
+    except OverflowError:
+        raise _beyond_float64(n, m) from None
+    dm, k = _damping(_decay(params))
+    return MomentValue(stripped, ldexp(significand * dm, exponent - k), method)
 
 
 def _bound_logs(params):
@@ -256,18 +267,22 @@ def _log_stripped_lower(n, m, logs):
     (n for d < 0, m otherwise) vanishes.  On the stretch of length
     L = min(T/2, 1/|d|) from that end, e^(d t) >= e^(|d|(T/2 - L)), the other
     factor is at least (T/2)^q/q!, and the vanishing one integrates to
-    L^(p+1)/(p+1)!.
+    L^(p+1)/(p+1)!.  Where this bound already exceeds float64, the exit's
+    MomentError is raised instead, before a route spends any work.
     """
     log_b, log_t, log_d, excess, d_negative, _ = logs
     p, q = (n, m) if d_negative else (m, n)
     log_half_t = log_t - _LN2
     log_stretch = min(log_half_t, -log_d)
-    return (
+    lower = (
         (n + m + 1) * log_b
         + excess
         + q * log_half_t - _LOG_FACTORIAL[q]
         + (p + 1) * log_stretch - _LOG_FACTORIAL[p + 1]
     )
+    if lower > _LOG_HUGEST:
+        raise _beyond_float64(n, m)
+    return lower
 
 
 def _below_float64(i, logs):
@@ -301,8 +316,6 @@ def _working_digits(n, m, params):
     """
     logs = _bound_logs(params)
     lower = _log_stripped_lower(n, m, logs)
-    if lower > _LOG_HUGEST:
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
     log_b, _, log_d, *_ = logs
     log_bound = _LN2 + log(comb(n + m, n)) + (n + m + 1) * (log_b - log_d) + 1.5 * abs(params.delta) * params.T
     return math.ceil((log_bound - lower) / _LN10) + _GUARD_DIGITS
@@ -314,6 +327,12 @@ def _mp_basis(params):
 
     d, b, t = mp.mpf(params.delta), mp.mpf(params.B), mp.mpf(params.T)
     return b / d, b * t, mp.exp(d * t / 2), mp.exp(-d * t / 2)
+
+
+def _mp_value(method, n, m, value, params):
+    """_moment_value of an mpmath result, from its exact signed mantissa and exponent."""
+    sign, man, exponent, _ = value._mpf_
+    return _moment_value(method, n, m, -int(man) if sign else int(man), 1, exponent, params)
 
 
 def moment_closed(key, params):
@@ -355,20 +374,23 @@ def moment_closed(key, params):
         for j in range(m):
             term = term * step * (m - j) / ((m + n - j) * (j + 1))
             acc += term
-        stripped = float(acc)
-    return MomentValue(stripped, _damped(stripped, _decay(params)), "closed")
+    return _mp_value("closed", n, m, acc, params)
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Write-once rectangle of I(n, m) values for one parameter set."""
+    """Write-once rectangle of I(n, m) values for one parameter set; an entry
+    beyond float64 holds the exit's MomentError, which value() raises."""
 
     max_n: int
     max_m: int
     values: dict
 
     def value(self, n, m):
-        return self.values[(n, m)]
+        value = self.values[(n, m)]
+        if isinstance(value, MomentError):
+            raise value
+        return value
 
 
 def moment_recursive(max_n, max_m, params):
@@ -387,12 +409,8 @@ def moment_recursive(max_n, max_m, params):
             "|delta| T below stability threshold: use moment_kummer"
         )
     if params.B == 0.0:
-        values = {
-            (n, m): MomentValue(0.0, 0.0, "recursive")
-            for n in range(max_n + 1)
-            for m in range(max_m + 1)
-        }
-        return MomentTable(max_n, max_m, values)
+        zero = MomentValue(0.0, 0.0, "recursive")
+        return MomentTable(max_n, max_m, {(n, m): zero for n in range(max_n + 1) for m in range(max_m + 1)})
 
     import mpmath as mp
 
@@ -407,8 +425,12 @@ def moment_recursive(max_n, max_m, params):
             for m in range(1, max_m + 1):
                 raw[(n, m)] = r * (raw[(n, m - 1)] - raw[(n - 1, m)])
 
-    x = _decay(params)
-    values = {nm: MomentValue(float(v), _damped(float(v), x), "recursive") for nm, v in raw.items()}
+    values = {}
+    for nm, v in raw.items():
+        try:
+            values[nm] = _mp_value("recursive", *nm, v, params)
+        except MomentError as exc:  # refused where it is read, so that it refuses no other entry
+            values[nm] = exc
     return MomentTable(max_n, max_m, values)
 
 
@@ -484,8 +506,7 @@ def moment_quadrature(key, params):
     _require_b(params)
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "quadrature")
-    if _log_stripped_lower(n, m, _bound_logs(params)) > _LOG_HUGEST:
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64")
+    _log_stripped_lower(n, m, _bound_logs(params))  # refuses a certain overflow
     from mpmath.libmp import from_man_exp, mpf_exp
 
     d, b, h = params.delta, params.B, params.T / 2.0
@@ -515,15 +536,9 @@ def moment_quadrature(key, params):
     _, exp_man, exp_shift, _ = mpf_exp(from_man_exp(dn * hn, 1 - (dd * hd).bit_length()), _TAIL_BITS)
     big_n = n + m + 1
     (bn, bd), (ln, ld) = b.as_integer_ratio(), scale.as_integer_ratio()
-    try:
-        stripped = _rounded(
-            (bn * hn) ** big_n * total * ln * exp_man,
-            (bd * hd) ** big_n * ld * factorial(n) * factorial(m),
-            exp_shift - shift,
-        )
-    except OverflowError:
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
-    return MomentValue(stripped, _damped(stripped, _decay(params)), "quadrature")
+    num = (bn * hn) ** big_n * total * ln * exp_man
+    den = (bd * hd) ** big_n * ld * factorial(n) * factorial(m)
+    return _moment_value("quadrature", n, m, num, den, exp_shift - shift, params)
 
 
 def _kummer_route(params):
@@ -531,12 +546,13 @@ def _kummer_route(params):
     return abs(params.delta) * params.T < _KUMMER_DT
 
 
-def _kummer_stripped(n, m, params):
-    """Stripped I(n, m) by Kummer's series, off the diagonal.
+def _kummer_off_diagonal(n, m, params):
+    """Stripped I(n, m) = (BT)^N/N! e^(-z/2) M(p+1, N+1, z), N = n+m+1, by
+    Kummer's series, as the pair (mantissa, exponent) of mantissa 2^exponent.
 
-    Raises MomentError when the result exceeds float64, from the ldexp: for
-    N <= 129 the mantissa lies in [8.8e-297, e^0.05], so nothing before it
-    underflows or overflows."""
+    The mantissa is mb^N mt^N/N! e^(-z/2) M, for the frexp mantissas of B and
+    T, and lies in [8.8e-297, e^0.05] for N <= 129, so nothing underflows or
+    overflows before the exit; the exponent is N (eb + et)."""
     z = abs(params.delta) * params.T
     mb, eb = frexp(params.B)
     mt, et = frexp(params.T)
@@ -548,11 +564,7 @@ def _kummer_stripped(n, m, params):
         term *= (a + k) / (big_n + 1 + k) * z / (k + 1)
         series += term
         k += 1
-    mantissa = mb**big_n * mt**big_n / _FACTORIAL[big_n] * (exp(-z / 2.0) * series)
-    try:
-        return ldexp(mantissa, big_n * (eb + et))
-    except OverflowError:
-        raise MomentError(f"stripped I({n}, {m}) exceeds float64") from None
+    return mb**big_n * mt**big_n / _FACTORIAL[big_n] * (exp(-z / 2.0) * series), big_n * (eb + et)
 
 
 def _kummer_diagonal(params, start):
@@ -578,19 +590,6 @@ def _kummer_diagonal(params, start):
             b += 1.0
             j += 1.0
         yield mb**big_n * mt**big_n / factorials[big_n] * series, big_n * e
-
-
-def _kummer_value(term, i, damping=None):
-    """I(i, i) = ldexp(mantissa dm, exponent - k) from a _kummer_diagonal term:
-    full with the (dm, k) of _damping, else stripped.  A value below float64
-    comes out as 0 or a subnormal, and MomentError is raised only where the
-    value itself exceeds float64, not where (BT)^N/N! alone does."""
-    mantissa, exponent = term
-    dm, k = damping or (1.0, 0)
-    try:
-        return ldexp(mantissa * dm, exponent - k)
-    except OverflowError:
-        raise MomentError(f"{'full' if damping else 'stripped'} I({i}, {i}) exceeds float64") from None
 
 
 def moment_kummer(key, params):
@@ -622,11 +621,8 @@ def moment_kummer(key, params):
         )
     if params.B == 0.0:
         return MomentValue(0.0, 0.0, "kummer")
-    if n == m:
-        term = next(_kummer_diagonal(params, n))
-        return MomentValue(_kummer_value(term, n), _kummer_value(term, n, _damping(_decay(params))), "kummer")
-    stripped = _kummer_stripped(n, m, params)
-    return MomentValue(stripped, _damped(stripped, _decay(params)), "kummer")
+    mantissa, exponent = next(_kummer_diagonal(params, n)) if n == m else _kummer_off_diagonal(n, m, params)
+    return _moment_value("kummer", n, m, mantissa, 1, exponent, params)
 
 
 def multi_instanton(i, params):
@@ -662,7 +658,7 @@ def _diagonal(params):
     that stops early evaluates no further term.
     """
     if _kummer_route(params):
-        # _kummer_value's scaling, inline: a call per term costs the gas sum a fifth
+        # _moment_value's full value, inline: a call per term costs the gas sum a fifth
         dm, k = _damping(_decay(params))
         for i, (mantissa, exponent) in enumerate(_kummer_diagonal(params, 0)):
             try:

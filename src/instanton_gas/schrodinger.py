@@ -36,8 +36,15 @@ from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .potential import ComputationError, ParameterError, PolynomialPotential, find_minima, well_parameters
-from .spectrum import extract_coupling
+from .potential import (
+    ComputationError,
+    ParameterError,
+    PolynomialPotential,
+    WellParameters,
+    find_minima,
+    well_parameters,
+)
+from .spectrum import energies, extract_coupling
 
 if TYPE_CHECKING:
     import numpy as np
@@ -436,8 +443,8 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
     numerical uncertainty) are excluded and reported.  The remaining points
     (at least 3) are fitted by least squares; the lambdas must be strictly
     ascending.  With K_hint given (finite and >= 0), the gap predicted by
-    the splitting formula at that prefactor is attached per record as
-    `predicted_gaps`.
+    the splitting formula at that prefactor, spectrum.energies' gap at
+    B = K_hint e^(-s_inst), is attached per record as `predicted_gaps`.
     """
     import numpy as np
 
@@ -477,7 +484,7 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
     predicted = ()
     if K_hint is not None:
         predicted = tuple(
-            float(np.hypot(rec.omega1 - rec.omega0, 4.0 * K_hint * np.exp(-rec.s_inst)) / 2.0)
+            energies(WellParameters(rec.omega0, rec.omega1, T=1.0, K=K_hint, s_inst=rec.s_inst)).gap
             for rec in records
         )
     return ScalingStudy(

@@ -53,6 +53,16 @@ class TriangleParameterError(ParameterError, TriangleError):
     """An argument outside its domain; `parameter` names it."""
 
 
+def _is_decimal(text):
+    """True for text in the form of a decimal or an exponent number, such as 0.4
+    or 1e2, which Fraction would read; not for an integer or for text like one."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return "." in text or "e" in text.lower()  # inf and nan hold neither
+
+
 def _as_ratio(value):
     """value, a Fraction, an int or a string `p/q` or integer, as a nonzero exact
     ratio; anything else, decimals and exponents too, raises TriangleParameterError."""
@@ -60,7 +70,7 @@ def _as_ratio(value):
         raise TriangleParameterError("ratio", "exact ratio required: floats are rejected")
     if isinstance(value, str):
         text = value.strip()
-        if "." in text or "e" in text.lower():
+        if _is_decimal(text):
             raise TriangleParameterError("ratio", "exact rational required (p/q); decimals are rejected")
         try:
             value = Fraction(text)

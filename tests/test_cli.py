@@ -123,6 +123,31 @@ class TestMomentsCommand:
         assert code == 2
         assert json.loads(out)["code"] == "bad-value"
 
+    def test_symmetric_method_outside_its_domain_names_method(self, capsys):
+        # |d| T = 1: moment_kummer refuses delta, which --omega0, --omega1 and --T set
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "0", "--m", "0", "--omega0", "1", "--omega1", "2",
+            "--B", "0.3", "--T", "2", "--method", "symmetric", "--format", "json",
+        )
+        assert code == 2 and err == ""
+        assert strict_json(out) == {
+            "code": "bad-value",
+            "message": "the Kummer series needs |delta| T < 0.1, got 1.0",
+            "parameter": "method",
+        }
+
+    @pytest.mark.parametrize("method", ["closed", "recursive", "quadrature", "all"])
+    def test_stripped_value_beyond_float64_is_numerical(self, capsys, method):
+        # I(0, 0) = 1.0104 B: every route refuses it, none prints infinity
+        code, out, err = run_cli(
+            capsys, "moments", "--n", "0", "--m", "0", "--omega0", "2", "--omega1", "1",
+            "--B", "1.78e308", "--T", "1", "--method", method, "--format", "json",
+        )
+        assert code == 1 and err == ""
+        assert strict_json(out) == {
+            "code": "numerical", "message": "stripped I(0, 0) exceeds float64", "parameter": "method",
+        }
+
     def test_symmetric_method_near_equal_frequencies(self, capsys):
         # |d| T = 1e-6 lies in moment_kummer's domain, |d| T < 0.1
         code, out, err = run_cli(

@@ -22,7 +22,6 @@ from instanton_gas.moments import (
     moment_quadrature,
     moment_recursive,
     multi_instanton,
-    prefactor,
     sweep_grid,
 )
 from instanton_gas.potential import ParameterError, WellParameters
@@ -393,7 +392,7 @@ def test_kummer_against_50_digits(n, m, delta_t, sign, T, B):
 
 
 def kummer_symmetric_limit(i, B, T):
-    """Stripped I(i, i) at delta = 0 as _kummer_stripped forms it: (BT)^N/N!
+    """Stripped I(i, i) at delta = 0 as the Kummer kernels form it: (BT)^N/N!
     from the mantissas of B and T and one power of two, N = 2i+1."""
     big_n = 2 * i + 1
     mb, eb = math.frexp(B)
@@ -431,7 +430,6 @@ def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
         assert abs(reference - kummer) <= mp.mpf(10) ** -40 * reference
     value = moment_kummer((i, i), params)
     assert abs(value.stripped - reference) <= 1e-14 * reference + 5e-324
-    assert value.stripped.hex() == moments._kummer_value(next(moments._kummer_diagonal(params, i)), i).hex()
     # one kernel, three readers: moment_kummer, multi_instanton and the gas sum's term
     assert value.full.hex() == multi_instanton(i, params).full.hex()
     assert value.full.hex() == list(islice(moments._diagonal(params), i + 1))[i].hex()
@@ -443,11 +441,9 @@ def test_kummer_diagonal_against_50_digits(i, delta_t, sign, T, BT):
 @pytest.mark.parametrize("B, T", [(0.7, 2.0), (0.5, 3.0), (1e-3, 900.0), (150.0, 2.0), (0.0005325570569768075, 78.7)])
 def test_kummer_diagonal_at_zero_delta_is_the_symmetric_limit(i, B, T):
     params = WellParameters(omega0=1.5, omega1=1.5, T=T, B=B)
-    assert moment_kummer((i, i), params).stripped.hex() == kummer_symmetric_limit(i, B, T).hex()
-    term = next(moments._kummer_diagonal(params, i))
-    assert moments._kummer_value(term, i).hex() == kummer_symmetric_limit(i, B, T).hex()
-    full = moments._kummer_value(term, i, moments._damping(moments._decay(params)))
-    assert full.hex() == moment_kummer((i, i), params).full.hex()
+    value = moment_kummer((i, i), params)
+    assert value.stripped.hex() == kummer_symmetric_limit(i, B, T).hex()
+    assert value.full.hex() == list(islice(moments._diagonal(params), i + 1))[i].hex()
 
 
 def full_diagonal_50_digits(i, params):
@@ -485,12 +481,12 @@ def test_kummer_full_term_against_50_digits(i, delta_t, sign, T, BT, omega_t):
     if not moments._kummer_route(params):  # delta rounded up across the domain's edge
         return
     reference = full_diagonal_50_digits(i, params)
-    term = next(moments._kummer_diagonal(params, i))
     try:
-        value = moments._kummer_value(term, i, moments._damping(moments._decay(params)))
-    except MomentError as exc:
-        assert str(exc) == f"full I({i}, {i}) exceeds float64"
-        assert reference > sys.float_info.max * (1.0 - 1e-14)
+        value = list(islice(moments._diagonal(params), i + 1))[i]
+    except MomentError as exc:  # this term's full value, or an earlier one's, is beyond float64
+        j = int(str(exc).partition("(")[2].partition(",")[0])
+        assert j <= i and str(exc) == f"full I({j}, {j}) exceeds float64"
+        assert full_diagonal_50_digits(j, params) > sys.float_info.max * (1.0 - 1e-14)
         return
     assert math.isfinite(value)
     assert abs(value - reference) <= max(1e-14 * reference, mp.mpf(5e-324))
@@ -508,7 +504,8 @@ def test_full_terms_vanish_where_the_damping_exponent_is_huge(omega, T):
     params = WellParameters(omega0=omega, omega1=omega, T=T, B=1.0)
     assert list(moments._diagonal(params)) == [0.0] * (moments.DEPTH_CAP + 1)
     assert moment_kummer((3, 3), params).full == 0.0
-    assert moments._damped(sys.float_info.max, moments._decay(params)) == 0.0
+    num, den = sys.float_info.max.as_integer_ratio()
+    assert moments._moment_value("quadrature", 0, 0, num, den, 0, params).full == 0.0
 
 
 def test_full_term_where_the_stripped_one_overflows():
@@ -605,12 +602,71 @@ class TestSymmetric:
 @given(stripped=st.floats(5e-324, sys.float_info.max), x=st.floats(700.0, 760.0))
 @example(stripped=1.0, x=708.3964185322641)  # e^(-x) just below the least normal float
 @example(stripped=sys.float_info.max, x=760.0)
-def test_damped_against_50_digits(stripped, x):
+def test_exit_damping_against_50_digits(stripped, x):
+    # omega0 = omega1 = 2x and T = 1 make _decay exactly x
+    params = WellParameters(omega0=2.0 * x, omega1=2.0 * x, T=1.0, B=1.0)
+    assert moments._decay(params) == x
+    value = moments._moment_value("quadrature", 0, 0, *stripped.as_integer_ratio(), 0, params)
+    assert value.stripped == stripped
     with mp.workdps(50):
         reference = mp.mpf(stripped) * mp.exp(-mp.mpf(x))
-        error = abs(mp.mpf(moments._damped(stripped, x)) - reference)
+        error = abs(mp.mpf(value.full) - reference)
         # 3e-16 relative where the result is a normal float, else one subnormal unit
         assert error <= max(3e-16 * reference, mp.mpf(5e-324))
+
+
+class TestFloat64Exit:
+    """Every route rounds its stripped value in _moment_value, which refuses one beyond float64."""
+
+    # omega0 2, omega1 1, T 1: I(0, 0) = 1.0104 B, beyond float64 at B = 1.78e308
+    EDGE = WellParameters(omega0=2.0, omega1=1.0, T=1.0, B=1.78e308)
+    BELOW = WellParameters(omega0=2.0, omega1=1.0, T=1.0, B=1.7e308)
+
+    @pytest.mark.parametrize("route", [
+        lambda p: moment_closed((0, 0), p),
+        lambda p: moment_recursive(0, 0, p).value(0, 0),
+        lambda p: moment_quadrature((0, 0), p),
+        lambda p: multi_instanton(0, p),
+    ], ids=["closed", "recursive", "quadrature", "multi_instanton"])
+    def test_every_route_refuses_the_same_value(self, route):
+        with pytest.raises(MomentError, match=r"^stripped I\(0, 0\) exceeds float64$"):
+            route(self.EDGE)
+        # just below the edge each route keeps the bits it had before the exit
+        value = route(self.BELOW)
+        assert (value.stripped.hex(), value.full.hex()) == ("0x1.e93c405762c21p+1023", "0x1.ce3263f8331b0p+1022")
+
+    def test_rectangle_refuses_only_the_entry_beyond_float64(self):
+        # B T = 1/2 at T = 2872: stripped I(0, 0) = 2.3e308 exceeds float64, I(1, 0) = 1.16e308 does not
+        params = WellParameters(omega0=2.0, omega1=1.0, T=2872.0, B=0.5 / 2872.0)
+        table = moment_recursive(1, 0, params)
+        with pytest.raises(MomentError, match=r"^stripped I\(0, 0\) exceeds float64$"):
+            table.value(0, 0)
+        value, closed = table.value(1, 0), moment_closed((1, 0), params)
+        assert (value.stripped, value.full) == (closed.stripped, closed.full) == (1.1585666861073404e308, 0.0)
+
+    # at delta = 0, I(0, 0) = B T and I(0, 1) = (B T)^2/2
+    @pytest.mark.parametrize("key, B, T, bits", [
+        ((0, 0), 1e308, 1.7, ("0x1.e42d130773b76p+1023", "0x1.9de35eceb8e4bp+1022")),
+        ((0, 0), 1e308, 2.0, None),
+        ((0, 1), 1e154, 1.8, ("0x1.cd642d3d50274p+1023", "0x1.772ce8558a239p+1022")),
+        ((0, 1), 1e154, 1.9, None),
+    ])
+    def test_kummer_edge(self, key, B, T, bits):
+        params = WellParameters(omega0=1.0, omega1=1.0, T=T, B=B)
+        if bits is None:
+            with pytest.raises(MomentError, match=rf"^stripped I\({key[0]}, {key[1]}\) exceeds float64$"):
+                moment_kummer(key, params)
+        else:
+            value = moment_kummer(key, params)
+            assert (value.stripped.hex(), value.full.hex()) == bits
+
+    def test_full_value_of_a_subnormal_stripped_one_from_its_53_bits(self):
+        # the exact stripped value, 2.6 units of 2^-1074, rounds to 3 units; the full value at
+        # e^(-x) = 0.9 is 2.34 units and rounds to 2, where 3 units times 0.9 would round to 3
+        x = -math.log(0.9)
+        params = WellParameters(omega0=2.0 * x, omega1=2.0 * x, T=1.0, B=1.0)
+        value = moments._moment_value("quadrature", 0, 0, 13, 5, -1074, params)
+        assert (value.stripped, value.full) == (3 * 5e-324, 2 * 5e-324)
 
 
 class TestMultiInstanton:
@@ -684,7 +740,8 @@ class TestInvariants:
     def test_full_equals_stripped_times_prefactor(self):
         for params in sweep_grid()[::11]:
             v = moment_quadrature((2, 2), params)
-            assert v.full == pytest.approx(v.stripped * prefactor(params), rel=1e-15)
+            damping = exp(-(params.omega0 + params.omega1) * params.T / 4.0)
+            assert v.full == pytest.approx(v.stripped * damping, rel=1e-15)
 
     def test_stripped_positive(self):
         for params in sweep_grid()[::13]:

@@ -172,6 +172,13 @@ class TestGasSum:
                 assert abs(terms[i + 1]) < abs(terms[i])
 
 
+def test_gas_sum_names_the_first_term_beyond_float64():
+    # stripped I(0, 0) = 1.0104 B exceeds float64; the sum used to take it as inf and fail at I(1, 1)
+    params = WellParameters(omega0=2.0, omega1=1.0, T=1.0, B=1.78e308)
+    with pytest.raises(moments.MomentError, match=r"^stripped I\(0, 0\) exceeds float64$"):
+        gas_sum_partial(params, 3)
+
+
 def per_term_sum(params, n_terms):
     """gas_sum_partial's (total, terms) from one multi_instanton call per term, in order.
 

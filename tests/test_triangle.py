@@ -137,10 +137,15 @@ class TestConstruction:
         with pytest.raises(TriangleError):
             build_triangle(4, 0.4)
 
-    # the command line's rule: p/q or an integer, never a decimal or an exponent
-    @pytest.mark.parametrize("ratio", ["1/0", "abc", "2/5/3", "0.4", "1e2", ""])
-    def test_unparsable_ratio_text_is_parameter_error(self, ratio):
-        with pytest.raises(TriangleParameterError) as excinfo:
+    # the command line's rule: p/q or an integer, never a decimal or an exponent; text that
+    # is no number at all, such as one, is unparsable, not a decimal
+    @pytest.mark.parametrize("ratio, reason", [
+        ("1/0", "cannot parse ratio"), ("abc", "cannot parse ratio"), ("2/5/3", "cannot parse ratio"),
+        ("one", "cannot parse ratio"), ("", "cannot parse ratio"),
+        ("0.4", "decimals are rejected"), ("1e2", "decimals are rejected"),
+    ])
+    def test_unparsable_ratio_text_is_parameter_error(self, ratio, reason):
+        with pytest.raises(TriangleParameterError, match=reason) as excinfo:
             build_triangle(4, ratio)
         assert excinfo.value.parameter == "ratio"
 
