@@ -383,6 +383,8 @@ def main(argv=None):
         except ParameterError as exc:  # a well parameter, or a package function's argument
             code = "contradictory-parameters" if isinstance(exc, InconsistentParametersError) else "bad-value"
             raise CliError(code, str(exc), exc.parameter)
+        except ImportError as exc:  # a library the command calls is missing, or laid out otherwise
+            raise CliError("missing-library", str(exc))
         # rendered in every format, so that no format prints NaN or infinity
         texts = {"json": _json(obj), "csv": csv_text, "table": table_text}
         _emit(texts[ns.format], ns.output)

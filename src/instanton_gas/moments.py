@@ -78,6 +78,8 @@ DEPTH_CAP = 64
 # least subnormal).
 _LOG_HUGEST = log(sys.float_info.max)
 _LOG_TINIEST = log(5e-324)
+# Below it a float64 is subnormal, and ldexp of a product rounds twice.
+_LEAST_NORMAL = sys.float_info.min
 # Decimal digits carried beyond the closed form's worst-case cancellation.
 _GUARD_DIGITS = 30
 _LN10 = math.log(10.0)
@@ -226,10 +228,11 @@ def _moment_value(method, n, m, num, den, exponent, params):
 
     num and den > 0 are ints, or num is a Kummer kernel's float mantissa and
     den is 1.  The stripped value is rounded once, and MomentError is raised
-    where it exceeds float64.  The full value is ldexp(significand dm, e - k)
-    for the stripped value's significand 2^e, rounded once to 53 bits even
+    where it exceeds float64.  The full value is significand dm 2^(e - k)
+    for the stripped value's significand 2^e, rounded to 53 bits even
     where the stripped value is subnormal, and the _damping (dm, k) of
-    _decay(params): the expression _diagonal applies to each gas-sum term.
+    _decay(params), rounded once by _product: the value _diagonal gives
+    each gas-sum term.
     """
     try:
         if isinstance(num, float):
@@ -241,7 +244,23 @@ def _moment_value(method, n, m, num, den, exponent, params):
     except OverflowError:
         raise _beyond_float64(n, m) from None
     dm, k = _damping(_decay(params))
-    return MomentValue(stripped, ldexp(significand * dm, exponent - k), method)
+    return MomentValue(stripped, _product(significand, dm, exponent - k), method)
+
+
+def _product(a, b, exponent):
+    """a b 2^exponent for floats a and b, rounded once to float64.
+
+    ldexp(a * b, exponent) rounds the product to 53 bits, which is the one
+    rounding where the result is a normal float.  At or below the least
+    normal float ldexp rounds it again, to the subnormal grid, so there the
+    exact product of the two floats' ratios is rounded once instead (a
+    product below half the least subnormal is 0 either way).
+    """
+    value = ldexp(a * b, exponent)
+    if abs(value) > _LEAST_NORMAL or frexp(a * b)[1] + exponent <= -1075:
+        return value
+    (p, s), (q, t) = a.as_integer_ratio(), b.as_integer_ratio()
+    return _rounded(p * q, s * t, exponent)
 
 
 def _bound_logs(params):
@@ -665,7 +684,7 @@ def _diagonal(params):
                 value = ldexp(mantissa * dm, exponent - k)
             except OverflowError:
                 raise MomentError(f"full I({i}, {i}) exceeds float64") from None
-            yield value
+            yield value if abs(value) > _LEAST_NORMAL else _product(mantissa, dm, exponent - k)
         return
     logs = _bound_logs(params) if params.B > 0.0 else None
     for i in range(DEPTH_CAP + 1):

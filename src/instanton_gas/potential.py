@@ -6,13 +6,17 @@ exponent between two degenerate minima x0 < x1 is the zero-energy action
 
     S = integral_{x0}^{x1} sqrt(2 (V(x) - V(x0))) dx.
 
-Every value of V, V' and V'' comes from one Horner routine, _horner, with
-the bits of numpy's polyval, and the stationary points that find_minima and
-instanton_action read from one companion-matrix solve, _stationary_points,
-with the bits of polyroots; numpy.polynomial is not used.
-numpy is imported by the functions that compute with it, so importing the
-module (and every command that only reads WellParameters) does not load
-it.  The Gauss-Legendre rules, which instanton_action shares with
+Every value of V, V' and V'' takes numpy's polyval's Horner steps, with
+its bits: at a float in _horner, and on an array('d') of points in
+_horner_on, which discretize calls too.  The stationary points that
+find_minima and instanton_action read come from one companion-matrix
+solve, _stationary_points, with the bits of polyroots.  Neither numpy nor
+scipy is imported: _horner_on, the companion matrix's eigenvalues (dgeev)
+and the action's quadrature sums (ddot) are BLAS and LAPACK calls into
+scipy's bundled OpenBLAS, which _openblas opens on first use.  The
+functions that make them import array, ctypes and _openblas, so importing
+the module (and every command that only reads WellParameters) loads none
+of them.  The Gauss-Legendre rules, which instanton_action shares with
 moments.moment_quadrature, are a table of constants.
 """
 
@@ -183,18 +187,38 @@ def _derivative(coefficients, order=1):
 def _horner(coefficients, x):
     """sum_k coefficients[k] x^k by Horner's rule, with the bits of numpy's polyval.
 
-    x is a float, giving a float, or a float64 numpy array, giving an array
-    of the values element by element; a list or tuple is converted to an
-    array first, as polyval converts it.  The steps are polyval's: the
-    leading coefficient plus x * 0, then c + value * x for each lower c.
+    x is a float, giving a float, or a list or tuple of points, giving a
+    list; _horner_on takes an array('d') of points.  The steps are
+    polyval's: the leading coefficient plus x * 0, then c + value * x for
+    each lower c.
     """
     if isinstance(x, (tuple, list)):
-        import numpy as np
-
-        x = np.asarray(x)
+        return [_horner(coefficients, v) for v in x]
     value = coefficients[-1] + x * 0
     for c in coefficients[-2::-1]:
         value = c + value * x
+    return value
+
+
+def _horner_on(coefficients, x):
+    """_horner at each point of the array('d') x, as an array('d'), in BLAS calls.
+
+    The leading coefficient is copied to every point (x * 0 is a zero, for
+    a finite x), then for each lower c one dtbmv with no band above the
+    diagonal (value_i *= x_i) and one daxpy (value_i += c).
+    """
+    from array import array
+    from ctypes import byref, c_double, c_int
+
+    from ._openblas import address, load
+
+    blas = load()
+    n, zero, one = c_int(len(x)), c_int(0), c_int(1)
+    value = array("d", [coefficients[-1]]) * len(x)
+    at_x, at_value, unit = address(x), address(value), c_double(1.0)
+    for c in coefficients[-2::-1]:
+        blas.dtbmv(b"U", b"N", b"N", n, zero, at_x, one, at_value, one, 1, 1, 1)
+        blas.daxpy(n, unit, byref(c_double(c)), zero, at_value, one)
     return value
 
 
@@ -203,23 +227,40 @@ def _stationary_points(potential):
 
     Trailing zero coefficients of V' are trimmed and the roots are the
     eigenvalues of its companion matrix as numpy's polyroots forms it (not
-    rotated, last column 0 - c_k / c_lead), so they have polyroots' bits.  A
-    root is real when its imaginary part is at most 1e-9 (1 + |z|).  Raises
-    PotentialError when the matrix is not finite or the solver fails.
+    rotated, last column 0 - c_k / c_lead), so they have polyroots' bits:
+    LAPACK's dgeev without eigenvectors, on the matrix in column-major
+    order, with the workspace that a query returns, as numpy's eigvals
+    calls it.  A root is real when its imaginary part is at most 1e-9
+    (1 + |z|).  Raises PotentialError when the matrix is not finite or the
+    solver fails.
     """
-    import numpy as np
+    from array import array
+    from ctypes import c_int
+
+    from ._openblas import address, load
 
     slope = _derivative(potential.coefficients)
     while slope[-1] == 0.0:
         slope.pop()
     lead = slope.pop()
-    companion = np.eye(len(slope), k=-1)
-    companion[:, -1] = [0.0 - c / lead for c in slope]
-    try:
-        roots = np.linalg.eigvals(companion).tolist()
-    except np.linalg.LinAlgError:
-        raise PotentialError("cannot locate the stationary points of V in float64") from None
-    return sorted(z.real for z in roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z)))
+    n = len(slope)
+    companion = array("d", [0.0]) * (n * n)
+    companion[n * (n - 1):] = array("d", [0.0 - c / lead for c in slope])
+    if not all(map(isfinite, companion)):
+        raise PotentialError("cannot locate the stationary points of V in float64")
+    for j in range(n - 1):
+        companion[j * n + j + 1] = 1.0
+    real, imag, info = array("d", [0.0]) * n, array("d", [0.0]) * n, c_int()
+    size, unit = c_int(n), c_int(1)
+    matrix = (b"N", b"N", size, address(companion), size, address(real), address(imag), None, unit, None, unit)
+    blas, work = load(), array("d", [0.0])
+    blas.dgeev(*matrix, address(work), c_int(-1), info, 1, 1)  # the workspace query
+    if info.value == 0:
+        work = array("d", [0.0]) * int(work[0])
+        blas.dgeev(*matrix, address(work), c_int(len(work)), info, 1, 1)
+    if info.value != 0:
+        raise PotentialError("cannot locate the stationary points of V in float64")
+    return sorted(re for re, im in zip(real, imag) if abs(im) <= 1e-9 * (1.0 + abs(complex(re, im))))
 
 
 def _merge_close(values, radius):
@@ -461,6 +502,7 @@ _GAUSS_HALVES = {
 }
 
 
+@cache
 def _gauss_rule(n):
     """The n-node Gauss-Legendre rule on [-1, 1]: ascending nodes and their
     weights, as two tuples of floats, for n = 64 and 128 (instanton_action)
@@ -478,18 +520,32 @@ def _gauss_rule(n):
     return tuple(-x for x in reversed(nodes)) + nodes, weights[::-1] + weights
 
 
-@cache
-def _gauss_arrays(n):
-    """_gauss_rule(n) as two numpy arrays, built once for instanton_action."""
-    import numpy as np
+def _action_rules(potential, floor, a, b):
+    """The action integral of sqrt(2 max(V - floor, 0)) on [a, b] by the 64- and the 128-node rule.
 
-    return tuple(map(np.array, _gauss_rule(n)))
+    Each has the bits of numpy's half * (weights @ f(mid + half * nodes)),
+    in BLAS calls on both rules' nodes at once: the nodes scaled (dscal)
+    and shifted (daxpy), V there by one _horner_on call, V - floor (daxpy)
+    doubled (dscal), its square root where it is positive, and each
+    weighted sum by ddot, the routine that numpy's @ calls.  (A plain sum,
+    or math.fsum, sums in another order.)
+    """
+    from array import array
+    from ctypes import byref, c_double, c_int
 
+    from ._openblas import address, load
 
-def _gauss_legendre(f, a, b, n):
-    nodes, weights = _gauss_arrays(n)
-    half = 0.5 * (b - a)
-    return half * float(weights @ f(0.5 * (a + b) + half * nodes))
+    (nodes64, weights64), (nodes128, weights128) = _gauss_rule(64), _gauss_rule(128)
+    blas, count, unit, zero = load(), c_int(192), c_int(1), c_int(0)
+    half, x = 0.5 * (b - a), array("d", nodes64 + nodes128)
+    blas.dscal(count, c_double(half), address(x), unit)
+    blas.daxpy(count, c_double(1.0), byref(c_double(0.5 * (a + b))), zero, address(x), unit)
+    f = _horner_on(potential.coefficients, x)
+    blas.daxpy(count, c_double(-1.0), byref(c_double(floor)), zero, address(f), unit)
+    blas.dscal(count, c_double(2.0), address(f), unit)
+    f, w = array("d", [sqrt(v) if v > 0.0 else 0.0 for v in f]), array("d", weights64 + weights128)
+    coarse = half * blas.ddot(c_int(64), address(w), unit, address(f), unit)
+    return coarse, half * blas.ddot(c_int(128), address(w, 64), unit, address(f, 64), unit)
 
 
 def instanton_action(potential, x0, x1):
@@ -503,8 +559,6 @@ def instanton_action(potential, x0, x1):
     more than 1e-10 relative (q nearly vanishes inside the interval, or an
     endpoint is not a minimum).
     """
-    import numpy as np
-
     if not x0 < x1:
         raise PotentialError("need x0 < x1")
     floor = 0.5 * (potential(x0) + potential(x1))
@@ -516,11 +570,7 @@ def instanton_action(potential, x0, x1):
     if min(depth) < -1e-10 * scale:
         raise PotentialError("potential dips below well floor")
 
-    def integrand(x):
-        return np.sqrt(2.0 * np.maximum(potential(x) - floor, 0.0))
-
-    coarse = _gauss_legendre(integrand, x0, x1, 64)
-    fine = _gauss_legendre(integrand, x0, x1, 128)
+    coarse, fine = _action_rules(potential, floor, x0, x1)
     if abs(fine - coarse) > _ACTION_RTOL * abs(fine):
         raise PotentialError(
             f"action not resolved: the 64- and 128-node rules differ by "

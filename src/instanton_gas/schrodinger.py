@@ -15,12 +15,11 @@ The gap is a difference of two eigenvalues of a matrix whose norm is about
 2/h^2, so it carries an absolute floor near 1e-10 on the default grids:
 symmetric wells lose their gap from lam ~ 130 on.
 
-numpy is imported by the functions that compute with it, so importing the
-module for its grid defaults loads no numpy.  The solver calls the Fortran
-`dstebz` that scipy's LAPACK wrapper, scipy.linalg._flapack, is built on,
-through ctypes, which releases the GIL for the call; the wrapper is loaded
-on first use without running the scipy or scipy.linalg package and their
-imports.  So
+Neither numpy nor scipy is imported.  The grid, V on it and the operator
+are array('d') buffers, and every step on them, the solve included, is a
+BLAS or LAPACK call into scipy's bundled OpenBLAS, which _openblas opens
+on first use: each keeps the bits of the numpy and scipy.linalg
+expressions that it replaces.  ctypes releases the GIL for each call, so
 numeric_gap solves its two grids at once, the coarse one in a second
 thread, with the bits of one grid after the other.
 """
@@ -29,25 +28,23 @@ from __future__ import annotations
 
 import sys
 import threading
+from array import array
+from ctypes import byref, c_double, c_int
 from dataclasses import dataclass
-from functools import cache
-from importlib.machinery import PathFinder
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from math import isfinite
-from typing import TYPE_CHECKING, NamedTuple
+from math import isfinite, log
+from typing import NamedTuple
 
+from ._openblas import address, load
 from .potential import (
     ComputationError,
     ParameterError,
     PolynomialPotential,
     WellParameters,
+    _horner_on,
     find_minima,
     well_parameters,
 )
 from .spectrum import energies, extract_coupling
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_GRID = None  # set below, after GridSpec is defined
 
@@ -111,9 +108,24 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.points - 1)
 
     def array(self):
-        import numpy as np
+        """The points, as an array('d') with the bits of np.linspace(x_min, x_max, points).
 
-        return np.linspace(self.x_min, self.x_max, self.points)
+        linspace's steps in BLAS: the ramp 0, 1, ..., points - 1 (doubled
+        by a dcopy and a daxpy of the count so far until it is complete),
+        times the spacing (dscal), plus x_min (daxpy), and x_max last.
+        """
+        blas, n, unit = load(), self.points, c_int(1)
+        x = array("d", [0.0, 1.0]) + array("d", [0.0]) * (n - 2)
+        done = 2
+        while done < n:
+            count = c_int(min(done, n - done))
+            blas.dcopy(count, address(x), unit, address(x, done), unit)
+            blas.daxpy(count, c_double(done), byref(c_double(1.0)), c_int(0), address(x, done), unit)
+            done += count.value
+        blas.dscal(c_int(n), c_double(self.spacing), address(x), unit)
+        blas.daxpy(c_int(n), c_double(1.0), byref(c_double(self.x_min)), c_int(0), address(x), unit)
+        x[-1] = self.x_max
+        return x
 
     def refined(self):
         """Same domain with halved spacing."""
@@ -123,42 +135,59 @@ class GridSpec:
 DEFAULT_GRID = GridSpec(-3.5, 3.5, 4001)
 
 
+def _finite(values):
+    """Whether every entry of an array('d') is finite: x . 0 is 0 then, and NaN
+    where an entry is not (0 inf is NaN), one ddot with a zero stride."""
+    unit = c_int(1)
+    return isfinite(load().ddot(c_int(len(values)), address(values), unit, byref(c_double(0.0)), c_int(0)))
+
+
 @dataclass(frozen=True)
 class TridiagonalOperator:
     """Dirichlet discretization: diagonal 1/h^2 + V(x_k), off-diagonal -1/(2h^2).
 
-    The strictly negative off-diagonal makes the matrix irreducible, so all
-    eigenvalues are simple.
+    The diagonal is held as an array('d'); any other sequence of floats
+    is copied into one.  The strictly negative off-diagonal makes the
+    matrix irreducible, so all eigenvalues are simple.
     """
 
-    diagonal: np.ndarray
+    diagonal: array
     off_diagonal: float
     size: int
 
     def __post_init__(self):
-        import numpy as np
-
+        if not (isinstance(self.diagonal, array) and self.diagonal.typecode == "d"):
+            object.__setattr__(self, "diagonal", array("d", self.diagonal))
         if not (isfinite(self.off_diagonal) and self.off_diagonal < 0.0):
             raise SolverError("off-diagonal must be finite and strictly negative")
         if len(self.diagonal) != self.size:
             raise SolverError("diagonal length must equal size")
-        if not np.isfinite(self.diagonal).all():
+        if not _finite(self.diagonal):
             raise SolverError("diagonal entries must be finite")
 
 
 def discretize(potential, grid, min_boundary_potential=None):
     """Central-difference operator for -psi''/2 + V psi on interior points.
 
-    `potential` is any callable accepting an array of positions (the
-    polynomial potentials of this package, or a plain function for
-    validation cases like the harmonic oscillator).
+    A PolynomialPotential is evaluated on the whole grid at once, in BLAS
+    calls (potential._horner_on); any other `potential` is a callable of
+    one position, called at each point, such as the harmonic oscillator of
+    a validation case.
     """
-    import numpy as np
+    return _operator(_values(potential, grid), grid, min_boundary_potential)
 
+
+def _values(potential, grid):
     x = grid.array()
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)
-    if not np.all(np.isfinite(values)):
+    if isinstance(potential, PolynomialPotential):
+        return _horner_on(potential.coefficients, x)
+    return array("d", map(potential, x))
+
+
+def _operator(values, grid, min_boundary_potential):
+    """discretize's operator from V's values at the grid's points: the diagonal
+    is 1/h^2 + V by a daxpy, with the bits of numpy's sum."""
+    if not _finite(values):
         raise DomainError("the potential is not finite on the grid")
     if min_boundary_potential is not None:
         v_edge = min(values[0], values[-1])
@@ -168,8 +197,8 @@ def discretize(potential, grid, min_boundary_potential=None):
                 f"required {min_boundary_potential:.6g}"
             )
     h = grid.spacing
-    values = values[1:-1]
-    diag = 1.0 / h**2 + values
+    diag = values[1:-1]
+    load().daxpy(c_int(len(diag)), c_double(1.0), byref(c_double(1.0 / h**2)), c_int(0), address(diag), c_int(1))
     return TridiagonalOperator(diagonal=diag, off_diagonal=-0.5 / h**2, size=grid.points - 2)
 
 
@@ -199,90 +228,6 @@ def sturm_count(operator, x):
     return count
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-class _FlapackHandover:
-    """Meta-path finder that hands _dstebz's scipy.linalg._flapack to scipy.linalg.
-
-    An import binds a submodule to its package only when it loads the
-    submodule, so scipy.linalg would lack the attribute _flapack if it
-    found the extension already in sys.modules.  When scipy.linalg is about
-    to be imported, this drops the extension from sys.modules, and the
-    package imports it again: the extension is initialised once per
-    process, so the new module shares its objects, dstebz among them.  It
-    finds no module itself.
-    """
-
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name == "scipy.linalg":
-            sys.modules.pop(_FLAPACK, None)
-        return None
-
-
-@cache
-def _dstebz():
-    """LAPACK's dstebz from scipy.linalg._flapack, loaded once.
-
-    The extension is found in scipy's linalg directory and loaded under its
-    own name, so neither scipy/__init__.py nor scipy/linalg/__init__.py, nor
-    the modules they import, run: find_spec locates the scipy package
-    without importing it.  The module registers itself in sys.modules, and
-    _FlapackHandover passes it on to a later `import scipy.linalg`; if
-    scipy.linalg came first, its module is used.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        scipy = find_spec("scipy")
-        if scipy is None:
-            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-        where = [f"{scipy.submodule_search_locations[0]}/linalg"]
-        found = PathFinder.find_spec("_flapack", where)
-        if found is None:
-            raise ImportError(f"no {_FLAPACK} extension in {where[0]}", name=_FLAPACK)
-        spec = spec_from_file_location(_FLAPACK, found.origin)
-        module = module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.meta_path.insert(0, _FlapackHandover)
-    return module.dstebz
-
-
-_LOAD_LOCK = threading.Lock()
-
-
-@cache
-def _dstebz_routine():
-    """The Fortran dstebz behind _dstebz(), as a ctypes function.
-
-    f2py keeps the routine's address in the wrapper's `_cpointer` capsule.
-    ctypes releases the GIL while the routine runs, where the wrapper holds
-    it.  The integers are LP64, as in scipy's wrapper, and the two trailing
-    arguments are the hidden lengths of the character arguments RANGE and
-    ORDER.  Threads whose first solves meet, as numeric_gap's two do, load
-    the extension once: _dstebz() is called under a lock.
-    """
-    from ctypes import (
-        CFUNCTYPE, POINTER, PYFUNCTYPE, c_char_p, c_double, c_int, c_size_t, c_void_p, py_object, pythonapi,
-    )
-
-    capsule_pointer = PYFUNCTYPE(c_void_p, py_object, c_char_p)(("PyCapsule_GetPointer", pythonapi))
-    int_p, double_p, array = POINTER(c_int), POINTER(c_double), c_void_p
-    prototype = CFUNCTYPE(
-        None,
-        c_char_p, c_char_p, int_p,  # RANGE, ORDER, N
-        double_p, double_p, int_p, int_p, double_p,  # VL, VU, IL, IU, ABSTOL
-        array, array,  # D, E
-        int_p, int_p,  # M, NSPLIT
-        array, array, array, array, array,  # W, IBLOCK, ISPLIT, WORK, IWORK
-        int_p,  # INFO
-        c_size_t, c_size_t,
-    )
-    with _LOAD_LOCK:
-        wrapper = _dstebz()
-    return prototype(capsule_pointer(wrapper._cpointer, None))
-
-
 def lowest_eigenvalues(operator, count):
     """The `count` smallest eigenvalues by LAPACK bisection (`dstebz`).
 
@@ -301,24 +246,16 @@ def lowest_eigenvalues(operator, count):
         raise BracketError(
             f"cannot find {count} eigenvalues of a {operator.size}-row operator"
         )
-    from ctypes import byref, c_double, c_int
-
-    import numpy as np
-
-    d = np.ascontiguousarray(operator.diagonal, dtype=float)
+    d = operator.diagonal
     n = len(d)
-    off = np.full(n - 1, operator.off_diagonal)
-    eigs = np.empty(n)
-    iblock, isplit = np.empty(n, np.intc), np.empty(n, np.intc)
-    work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
+    off = array("d", [operator.off_diagonal]) * max(n - 1, 1)
+    eigs, work = array("d", [0.0]) * n, array("d", [0.0]) * (4 * n)
+    iblock, isplit, iwork = array("i", [0]) * n, array("i", [0]) * n, array("i", [0]) * (3 * n)
     found, nsplit, info = c_int(), c_int(), c_int()
-    _dstebz_routine()(
-        b"I", b"E", byref(c_int(n)),
-        byref(c_double(0.0)), byref(c_double(0.0)), byref(c_int(1)), byref(c_int(count)),
-        byref(c_double(EIGENVALUE_TOL)),
-        d.ctypes.data, off.ctypes.data, byref(found), byref(nsplit),
-        eigs.ctypes.data, iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-        byref(info), 1, 1,
+    load().dstebz(
+        b"I", b"E", c_int(n), c_double(0.0), c_double(0.0), c_int(1), c_int(count), c_double(EIGENVALUE_TOL),
+        address(d), address(off), found, nsplit,
+        address(eigs), address(iblock), address(isplit), address(work), address(iwork), info, 1, 1,
     )
     found, info = found.value, info.value
     if info != 0 or found != count:
@@ -355,12 +292,19 @@ def numeric_gap(potential, grid, min_boundary_potential=None):
     discretization, fine solve.
     """
     fine_grid = grid.refined()
-    coarse = discretize(potential, grid, min_boundary_potential)
+    # The grid's points are every other point of its refinement, bit for bit, and so are a
+    # polynomial's values there: V is evaluated once, on the fine grid.  (It raises nothing, so
+    # the order of the errors is kept; another callable is called on each grid in turn.)
+    shared = isinstance(potential, PolynomialPotential)
+    if shared:
+        fine_values = _values(potential, fine_grid)
+    coarse = _operator(fine_values[::2] if shared else _values(potential, grid), grid, min_boundary_potential)
     outcome = []
     worker = threading.Thread(target=_solve_into, args=(coarse, outcome), name="numeric_gap coarse solve")
     worker.start()
     try:
-        e0, e1 = lowest_eigenvalues(discretize(potential, fine_grid, min_boundary_potential), 2)
+        fine = _operator(fine_values if shared else _values(potential, fine_grid), fine_grid, min_boundary_potential)
+        e0, e1 = lowest_eigenvalues(fine, 2)
     finally:
         worker.join()
         coarse_result = outcome[0]
@@ -434,6 +378,29 @@ def benchmark_point(lam, b, grid=None):
     return record, coupling.asymmetry_dominated
 
 
+def _fit_line(x, y):
+    """(slope, intercept) of the least-squares line through the points (x_i, y_i).
+
+    LAPACK's dgelsd on the m x 2 design [x, 1] in column-major order, with
+    numpy's lstsq arguments (rcond = eps max(m, 2), the workspace that a
+    query returns), so the fit has lstsq's bits.
+    """
+    m = len(x)
+    design, rhs = array("d", x) + array("d", [1.0]) * m, array("d", y)
+    singular, rank, info = array("d", [0.0, 0.0]), c_int(), c_int()
+    rows = c_int(m)
+    problem = (rows, c_int(2), c_int(1), address(design), rows, address(rhs), rows, address(singular),
+               c_double(sys.float_info.epsilon * max(m, 2)), rank)
+    blas, work, iwork = load(), array("d", [0.0]), array("i", [0])
+    blas.dgelsd(*problem, address(work), c_int(-1), address(iwork), info)  # the workspace query
+    if info.value == 0:
+        work, iwork = array("d", [0.0]) * int(work[0]), array("i", [0]) * max(iwork[0], 1)
+        blas.dgelsd(*problem, address(work), c_int(len(work)), address(iwork), info)
+    if info.value != 0:
+        raise ScalingError(f"the least-squares fit failed: dgelsd returned info {info.value}")
+    return rhs[0], rhs[1]
+
+
 def scaling_study(b, lambdas, K_hint=None, grid=None):
     """Test the exponential suppression law ln B' ~ const - S across the family.
 
@@ -446,8 +413,6 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
     the splitting formula at that prefactor, spectrum.energies' gap at
     B = K_hint e^(-s_inst), is attached per record as `predicted_gaps`.
     """
-    import numpy as np
-
     lambdas = [float(v) for v in lambdas]
     if any(lo >= hi for lo, hi in zip(lambdas, lambdas[1:])):
         raise SolverError("lambdas must be strictly ascending")
@@ -476,11 +441,11 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
             f"fewer than 3 usable points ({len(usable)} of {len(lambdas)}); "
             f"excluded: {excluded}"
         )
-    s = np.array([rec.s_inst for rec in usable])
-    lnb = np.log(np.array([rec.b_prime for rec in usable]))
-    design = np.vstack([s, np.ones_like(s)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, lnb, rcond=None)
-    residuals = lnb - (slope * s + intercept)
+    s = [rec.s_inst for rec in usable]
+    # the C library's log: on AVX-512 hosts np.log, used before, differs by 1 ulp at ~0.2% of arguments
+    lnb = [log(rec.b_prime) for rec in usable]
+    slope, intercept = _fit_line(s, lnb)
+    residuals = [y - (slope * x + intercept) for x, y in zip(s, lnb)]
     predicted = ()
     if K_hint is not None:
         predicted = tuple(
@@ -489,9 +454,9 @@ def scaling_study(b, lambdas, K_hint=None, grid=None):
         )
     return ScalingStudy(
         records=tuple(records),
-        slope=float(slope),
-        intercept=float(intercept),
-        residuals=tuple(float(rv) for rv in residuals),
+        slope=slope,
+        intercept=intercept,
+        residuals=tuple(residuals),
         excluded=tuple(excluded),
         predicted_gaps=predicted,
     )

@@ -1,17 +1,15 @@
-"""Import budget: the CLI loads only the package modules, numpy, mpmath and scipy that a command calls.
+"""Import budget: the CLI loads only the package modules, mpmath and libraries that a command calls.
 
 A bare `import instanton_gas` loads no submodule: its names resolve on
-first access.  No command loads scipy.integrate, and moments loads no
-numpy: the quadrature oracle integrates by Gauss-Legendre rules kept as
-constants, in plain floats and ints, and the gas sum needs no numpy at any
-asymmetry.  The grid commands load scipy's compiled LAPACK wrapper,
-scipy.linalg._flapack, without the scipy and scipy.linalg packages.  No
-command loads numpy.polynomial: potential evaluates and solves its
-polynomials itself.  Every check of what is loaded runs in a fresh
-interpreter, because the pytest process itself imports whatever the other
-test modules use.
+first access.  No command loads numpy or any scipy module: moments
+integrates by Gauss-Legendre rules kept as constants, in plain floats and
+ints, and the grid commands call LAPACK and BLAS in scipy's bundled
+OpenBLAS through ctypes (instanton_gas._openblas), on array('d')
+buffers.  The commands that solve no grid load neither that module nor
+ctypes or array.  Every check of what is loaded runs in a fresh interpreter,
+because the pytest process itself imports whatever the other test
+modules use.
 """
-
 import json
 import os
 import subprocess
@@ -101,32 +99,26 @@ grid_commands = pytest.mark.parametrize("argv", [
 
 
 @grid_commands
-def test_grid_commands_load_flapack_not_linalg_package_or_integrate(argv):
-    loaded = heavy_loaded(*argv)
-    assert "numpy" in loaded
-    assert {m for m in loaded if m.split(".")[0] == "scipy"} == {"scipy.linalg._flapack"}
+def test_grid_commands_load_neither_numpy_nor_scipy(argv):
+    modules = loaded(*argv, roots=("numpy", "scipy", "instanton_gas"))
+    assert "instanton_gas._openblas" in modules
+    assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
-_LINALG_AFTER_BENCHMARK = """
-import contextlib, io, json, sys
-import instanton_gas.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(json.loads(sys.argv[1])) == 0
-scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-flapack = sys.modules["scipy.linalg._flapack"]
-import scipy.linalg
-bound = scipy.linalg._flapack
-print(json.dumps([scipy_modules, bound is sys.modules["scipy.linalg._flapack"], bound.dstebz is flapack.dstebz]))
-"""
+_NON_GRID_COMMANDS = [
+    ("spectrum", *_WELL),
+    ("sum", *_WELL, "--T", "2", "--terms", "40"),
+    ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),
+    ("triangle-verify", "--depth", "12", "--ratio", "2/5"),
+]
 
 
-def test_scipy_linalg_imported_after_benchmark_binds_its_flapack():
-    # the benchmark's solve loads the extension without running scipy/__init__.py; a later
-    # `import scipy.linalg` binds the extension, with the dstebz that the solver called
-    argv = ["benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3"]
-    proc = fresh("-c", _LINALG_AFTER_BENCHMARK, json.dumps(argv))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [["scipy.linalg._flapack"], True, True]
+@pytest.mark.parametrize("argv", _NON_GRID_COMMANDS, ids=lambda argv: argv[0])
+def test_commands_without_a_grid_load_neither_the_library_loader_nor_ctypes(argv):
+    # they make up most cold calls: the loader's import, and ctypes' and array's, would be paid for nothing
+    modules = loaded(*argv, roots=("array", "ctypes", "_ctypes", "instanton_gas"))
+    assert "instanton_gas.cli" in modules
+    assert not modules & {"array", "ctypes", "_ctypes", "instanton_gas._openblas"}
 
 
 _EVERY_COMMAND = """
@@ -139,21 +131,18 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_no_command_loads_numpy_polynomial():
+def test_no_command_loads_numpy_or_scipy():
     # sys.modules only grows, so one process running all six commands shows it for each
     commands = [
-        ("spectrum", *_WELL),
-        ("sum", *_WELL, "--T", "2", "--terms", "40"),
-        ("moments", "--n", "3", "--m", "4", *_WELL, "--T", "2", "--method", "all"),
-        ("triangle-verify", "--depth", "12", "--ratio", "2/5"),
+        *_NON_GRID_COMMANDS,
         ("benchmark", "--lambda", "4", "--b", "0.5", "--points", "1201", "--x-min", "-3", "--x-max", "3"),
         ("scaling", "--b", "0", "--lambdas", "4,6,8", "--points", "2001"),
     ]
     proc = fresh("-c", _EVERY_COMMAND, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
-    assert "numpy" in modules and "instanton_gas.schrodinger" in modules
-    assert [m for m in modules if m.startswith("numpy.polynomial")] == []
+    assert "instanton_gas.schrodinger" in modules
+    assert [m for m in modules if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
 @grid_commands
@@ -162,62 +151,78 @@ def test_grid_commands_load_no_concurrent_futures(argv):
     assert loaded(*argv, roots=("concurrent",)) == set()
 
 
-_SOLVE_AROUND_LINALG = """
-import json, sys
+_SOLVE_AROUND_IMPORT = """
+import importlib, json, sys
 from instanton_gas import schrodinger
-op = schrodinger.discretize(schrodinger.benchmark_potential(64.0, 0.3), schrodinger.GridSpec(-3.5, 3.5, 4001))
+library, order = sys.argv[1:]
+grid = schrodinger.GridSpec(-3.5, 3.5, 4001)
+op = schrodinger.discretize(schrodinger.benchmark_potential(64.0, 0.3), grid)
 solves = []
-if sys.argv[1] == "linalg-first":
-    import scipy.linalg
+if order == "library-first":
+    importlib.import_module(library)
 solves.append([e.hex() for e in schrodinger.lowest_eigenvalues(op, 4)])
-import scipy.linalg
+module = importlib.import_module(library)
 solves.append([e.hex() for e in schrodinger.lowest_eigenvalues(op, 4)])
-print(json.dumps({"solves": solves, "shared": schrodinger._dstebz() is scipy.linalg.lapack._flapack.dstebz}))
+# the library works beside the solver: the same eigenvalues, and the same grid points
+if library == "scipy.linalg":
+    theirs = module.eigh_tridiagonal(
+        op.diagonal, [op.off_diagonal] * (op.size - 1), eigvals_only=True, select="i", select_range=(0, 3),
+        lapack_driver="stebz", tol=schrodinger.EIGENVALUE_TOL,
+    )
+    works = [e.hex() for e in theirs.tolist()] == solves[-1]
+else:
+    works = module.linspace(grid.x_min, grid.x_max, grid.points).tolist() == grid.array().tolist()
+print(json.dumps({"solves": solves, "works": works}))
 """
 
 
-def test_solver_gives_the_same_bits_before_and_after_scipy_linalg_import():
-    # the solver's own load of scipy.linalg._flapack and the scipy.linalg package's
-    # import of it share one extension module, whichever comes first
+@pytest.mark.parametrize("library", ["scipy.linalg", "numpy"])
+def test_solver_gives_the_same_bits_before_and_after_a_later_import(library):
+    # the solver opens scipy's OpenBLAS by itself; a later scipy.linalg (which links the same
+    # library) or numpy (which brings its own) still works, and the solver keeps its bits
     runs = {}
-    for order in ("solver-first", "linalg-first"):
-        proc = fresh("-c", _SOLVE_AROUND_LINALG, order)
+    for order in ("solver-first", "library-first"):
+        proc = fresh("-c", _SOLVE_AROUND_IMPORT, library, order)
         assert proc.returncode == 0, proc.stderr
         runs[order] = json.loads(proc.stdout)
-        assert runs[order]["shared"]
+        assert runs[order]["works"]
         first, second = runs[order]["solves"]
         assert first == second
-    assert runs["solver-first"]["solves"] == runs["linalg-first"]["solves"]
-
-
-_LINALG_AFTER_SOLVE = """
-from instanton_gas import schrodinger
-op = schrodinger.discretize(schrodinger.benchmark_potential(4.0, 0.5), schrodinger.GridSpec(-3.0, 3.0, 101))
-schrodinger.lowest_eigenvalues(op, 2)
-import scipy.linalg
-print(scipy.linalg._flapack.dstebz is schrodinger._dstebz())
-"""
-
-
-def test_linalg_imported_after_a_solve_has_its_flapack_attribute():
-    # the package binds _flapack only when it loads it, so the solver's own load
-    # must not keep it from doing so
-    proc = fresh("-c", _LINALG_AFTER_SOLVE)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
+    assert runs["solver-first"]["solves"] == runs["library-first"]["solves"]
 
 
 _FIRST_GAP = """
-import sys
-from instanton_gas import schrodinger
-schrodinger.numeric_gap(schrodinger.benchmark_potential(16.0, 0.0), schrodinger.DEFAULT_GRID)
-print(schrodinger._dstebz.cache_info().misses, sys.meta_path.count(schrodinger._FlapackHandover))
+import threading
+from instanton_gas import _openblas, schrodinger
+opened, real_cdll = [], _openblas.CDLL
+
+
+def slow_cdll(path):
+    # a slow open, so that threads that meet in load() would each open the library without the lock
+    opened.append(path)
+    threading.Event().wait(0.05)
+    return real_cdll(path)
+
+
+_openblas.CDLL = slow_cdll
+pot = schrodinger.benchmark_potential(16.0, 0.0)
+schrodinger.numeric_gap(pot, schrodinger.DEFAULT_GRID)
+first_gap = len(opened)
+_openblas._bind.cache_clear()
+start = threading.Barrier(4)
+threads = [threading.Thread(target=lambda: (start.wait(), _openblas.load())) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(first_gap, len(opened) - first_gap, sum(thread.is_alive() for thread in threads))
 """
 
 
-def test_first_gap_loads_flapack_once():
-    # the two threads of the first numeric_gap reach the solver together; one of them loads the extension
+def test_first_gap_opens_the_library_once():
+    # numeric_gap's two threads share one open of the library, and so do threads whose first loads meet
     proc = fresh("-c", _FIRST_GAP)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 1\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 1 0\n")
 
 
 def test_moments_loads_neither_numpy_nor_scipy():

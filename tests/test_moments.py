@@ -284,7 +284,8 @@ def test_closed_and_recursion_against_50_digits(n, m, delta_t, sign, T, B):
 def closed_per_term(n, m, params):
     """Stripped I(n, m) by the paper's closed form, each term built from its own
     powers, binomial and factorial, in mpmath at moment_closed's working digits
-    and rounded once to float64."""
+    and rounded once to float64 (mpmath's float() rounds a subnormal twice:
+    to 53 bits, then to the subnormal grid)."""
     with mp.workdps(moments._working_digits(n, m, params)):
         d, b, t = mp.mpf(params.delta), mp.mpf(params.B), mp.mpf(params.T)
         r, bt, e_plus, e_minus = b / d, b * t, mp.exp(d * t / 2), mp.exp(-d * t / 2)
@@ -293,7 +294,8 @@ def closed_per_term(n, m, params):
             acc += e_plus * comb(m + n - i, m) * (-1) ** (n - i) * r ** (n + m - i + 1) * bt**i / factorial(i)
         for j in range(m + 1):
             acc += e_minus * comb(m + n - j, n) * (-1) ** (n + 1) * r ** (n + m - j + 1) * bt**j / factorial(j)
-        return float(acc)
+        sign, man, exponent, _ = acc._mpf_
+        return float((-1) ** sign * man * Fraction(2) ** exponent)
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,6 +312,7 @@ def closed_per_term(n, m, params):
 @example(n=64, m=0, delta_t=20.0, sign=1.0, T=2.0, B=0.5)
 @example(n=30, m=45, delta_t=0.1, sign=1.0, T=30.0, B=5.0)  # B/d = 1500
 @example(n=20, m=10, delta_t=60.0, sign=-1.0, T=0.1, B=0.01)  # B/d = -1.7e-5
+@example(n=44, m=44, delta_t=3.0, sign=-1.0, T=1.171875, B=0.01)  # a subnormal stripped value
 def test_closed_running_ratio_is_the_per_term_sum(n, m, delta_t, sign, T, B):
     # moment_closed takes each term from the one before; the same bits as building each anew
     params = well(sign * delta_t / T, T, B)
@@ -613,6 +616,47 @@ def test_exit_damping_against_50_digits(stripped, x):
         error = abs(mp.mpf(value.full) - reference)
         # 3e-16 relative where the result is a normal float, else one subnormal unit
         assert error <= max(3e-16 * reference, mp.mpf(5e-324))
+
+
+def exact_product(a, b, exponent):
+    return float(Fraction(a) * Fraction(b) * Fraction(2) ** exponent)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    a=st.floats(0.5, 1.0, exclude_max=True) | st.floats(4.3e-296, 1e300),
+    b=st.floats(0.5, 1.0) | st.floats(5e-324, 1.0),
+    offset=st.integers(-60, 4),
+)
+@example(a=0.75, b=0.75, offset=-52)  # 9/16 2^-1074: below half the least subnormal, so 0
+@example(a=1.0 - 2.0**-53, b=1.0, offset=0)
+def test_product_rounds_once(a, b, offset):
+    # exponents that put a b 2^exponent within 60 binary orders below the least normal float, or just above
+    exponent = offset - 1022 - math.frexp(a * b)[1]
+    value = moments._product(a, b, exponent)
+    assert value.hex() == exact_product(a, b, exponent).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    i=st.integers(0, 8),
+    delta_t=st.floats(0.0, 0.09),
+    T=st.floats(0.5, 4.0),
+    BT=st.floats(0.01, 1.0),
+    omega_t=st.floats(1405.0, 1500.0),  # e^(-(w0+w1)T/4) about 1e-305 to 1e-326: subnormal full values
+)
+@example(i=0, delta_t=0.089, T=1.51, BT=0.892, omega_t=1418.36)  # ldexp of the product is 1 unit off
+@example(i=2, delta_t=0.009, T=1.868, BT=0.855, omega_t=1405.86)
+def test_subnormal_full_value_rounded_once(i, delta_t, T, BT, omega_t):
+    # the full value is the kernel's mantissa times the damping's, times a power of two, rounded once
+    params = WellParameters(omega0=omega_t / T + 2.0 * delta_t / T, omega1=omega_t / T, T=T, B=BT / T)
+    if not moments._kummer_route(params):
+        return
+    mantissa, exponent = next(moments._kummer_diagonal(params, i))
+    dm, k = moments._damping(moments._decay(params))
+    reference = exact_product(mantissa, dm, exponent - k).hex()
+    assert list(islice(moments._diagonal(params), i + 1))[i].hex() == reference
+    assert moment_kummer((i, i), params).full.hex() == reference
 
 
 class TestFloat64Exit:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from instanton_gas import schrodinger
+from instanton_gas import _openblas, schrodinger
 from instanton_gas.potential import ParameterError, PolynomialPotential
 from instanton_gas.schrodinger import (
     EIGENVALUE_TOL,
@@ -165,9 +165,9 @@ class TestEigenvalues:
             # M and INFO, the 11th and 18th arguments of LAPACK's DSTEBZ, are its integer outputs
             args[10][0], args[17][0] = found, info
 
-        # a Python routine behind the solver's own ctypes prototype, so the call passes the same conversions
-        prototype = type(schrodinger._dstebz_routine())
-        monkeypatch.setattr(schrodinger, "_dstebz_routine", lambda: prototype(stebz))
+        # a Python routine behind the library's own ctypes prototype, so the call passes the same conversions
+        routines = _openblas.load()
+        monkeypatch.setattr(routines, "dstebz", type(routines.dstebz)(stebz))
         op = TridiagonalOperator(diagonal=np.array([1.0, 2.0, 3.0]), off_diagonal=-0.1, size=3)
         with pytest.raises(SolverError, match=f"info {info} with {found} of 2 eigenvalues"):
             lowest_eigenvalues(op, 2)

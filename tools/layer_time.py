@@ -30,8 +30,11 @@ table), then the two in one call at depth 24.  The potential rows time
 `find_minima` and `well_parameters` at (lam 16, b 0) and (lam 64, b 0.5),
 each on a benchmark potential built in the timed call, as
 `benchmark_point` builds one (the minima that `well_parameters` reads are
-found beforehand).
-The Schrodinger rows time `lowest_eigenvalues(op, 2)` on the operators of
+found beforehand), and `instanton_action` at the same two wells (its
+potential and minima made beforehand).
+The Schrodinger rows time `discretize` of (lam 64, b 0.5) on the default
+4001-point grid and its 8001-point refinement (the potential and grid
+made beforehand), `lowest_eigenvalues(op, 2)` on the operators of
 the default 4001-point grid and its 8001-point refinement (lam 64, b 0.5;
 each operator is discretized beforehand), then `numeric_gap` on the
 default grid and `benchmark_point` at (lam 16, b 0) and (lam 64, b 0.5).
@@ -89,6 +92,14 @@ ROWS = (
        f"left, right = potential.find_minima(schrodinger.benchmark_potential({lam}, {b}))",
        f"potential.well_parameters(schrodinger.benchmark_potential({lam}, {b}), left, right)")
       for lam, b in ((16.0, 0.0), (64.0, 0.5))),
+    *((f"instanton_action (lam {lam:g}, b {b:g})",
+       f"pot = schrodinger.benchmark_potential({lam}, {b}); left, right = potential.find_minima(pot)",
+       "potential.instanton_action(pot, left.location, right.location)")
+      for lam, b in ((16.0, 0.0), (64.0, 0.5))),
+    *((f"discretize, {points} points (lam 64, b 0.5)",
+       f"pot = schrodinger.benchmark_potential(64.0, 0.5); grid = schrodinger.GridSpec(-3.5, 3.5, {points})",
+       "schrodinger.discretize(pot, grid)")
+      for points in (4001, 8001)),
     *((f"lowest_eigenvalues, {points}-point operator (lam 64, b 0.5)",
        f"op = schrodinger.discretize(schrodinger.benchmark_potential(64.0, 0.5), "
        f"schrodinger.GridSpec(-3.5, 3.5, {points}))",
