@@ -8,15 +8,15 @@ exponent between two degenerate minima x0 < x1 is the zero-energy action
 
 Every value of V, V' and V'' takes numpy's polyval's Horner steps, with
 its bits: at a float in _horner, and on an array('d') of points in
-_horner_on, which discretize calls too.  The stationary points that
+_openblas.polyval, which discretize calls too.  The stationary points that
 find_minima and instanton_action read come from one companion-matrix
 solve, _stationary_points, with the bits of polyroots.  Neither numpy nor
-scipy is imported: _horner_on, the companion matrix's eigenvalues (dgeev)
-and the action's quadrature sums (ddot) are BLAS and LAPACK calls into
-scipy's bundled OpenBLAS, which _openblas opens on first use.  The
-functions that make them import array, ctypes and _openblas, so importing
-the module (and every command that only reads WellParameters) loads none
-of them.  The Gauss-Legendre rules, which instanton_action shares with
+scipy is imported: the array steps (the companion matrix's eigenvalues,
+the action's nodes, integrand values and weighted sums) are operations of
+_openblas, each with the bits of the numpy expression it is named for.
+The functions that call them import array and _openblas, so importing
+the module (and every command that only reads WellParameters) loads
+neither.  The Gauss-Legendre rules, which instanton_action shares with
 moments.moment_quadrature, are a table of constants.
 """
 
@@ -188,7 +188,7 @@ def _horner(coefficients, x):
     """sum_k coefficients[k] x^k by Horner's rule, with the bits of numpy's polyval.
 
     x is a float, giving a float, or a list or tuple of points, giving a
-    list; _horner_on takes an array('d') of points.  The steps are
+    list; _openblas.polyval takes an array('d') of points.  The steps are
     polyval's: the leading coefficient plus x * 0, then c + value * x for
     each lower c.
     """
@@ -200,44 +200,19 @@ def _horner(coefficients, x):
     return value
 
 
-def _horner_on(coefficients, x):
-    """_horner at each point of the array('d') x, as an array('d'), in BLAS calls.
-
-    The leading coefficient is copied to every point (x * 0 is a zero, for
-    a finite x), then for each lower c one dtbmv with no band above the
-    diagonal (value_i *= x_i) and one daxpy (value_i += c).
-    """
-    from array import array
-    from ctypes import byref, c_double, c_int
-
-    from ._openblas import address, load
-
-    blas = load()
-    n, zero, one = c_int(len(x)), c_int(0), c_int(1)
-    value = array("d", [coefficients[-1]]) * len(x)
-    at_x, at_value, unit = address(x), address(value), c_double(1.0)
-    for c in coefficients[-2::-1]:
-        blas.dtbmv(b"U", b"N", b"N", n, zero, at_x, one, at_value, one, 1, 1, 1)
-        blas.daxpy(n, unit, byref(c_double(c)), zero, at_value, one)
-    return value
-
-
 def _stationary_points(potential):
     """The real roots of V', ascending: the stationary points of V.
 
     Trailing zero coefficients of V' are trimmed and the roots are the
     eigenvalues of its companion matrix as numpy's polyroots forms it (not
-    rotated, last column 0 - c_k / c_lead), so they have polyroots' bits:
-    LAPACK's dgeev without eigenvectors, on the matrix in column-major
-    order, with the workspace that a query returns, as numpy's eigvals
-    calls it.  A root is real when its imaginary part is at most 1e-9
-    (1 + |z|).  Raises PotentialError when the matrix is not finite or the
-    solver fails.
+    rotated, last column 0 - c_k / c_lead), so they have polyroots' bits,
+    by numpy's eigvals (_openblas.eigvals).  A root is real when its
+    imaginary part is at most 1e-9 (1 + |z|).  Raises PotentialError when
+    the matrix is not finite or the solver fails.
     """
     from array import array
-    from ctypes import c_int
 
-    from ._openblas import address, load
+    from ._openblas import eigvals
 
     slope = _derivative(potential.coefficients)
     while slope[-1] == 0.0:
@@ -250,15 +225,8 @@ def _stationary_points(potential):
         raise PotentialError("cannot locate the stationary points of V in float64")
     for j in range(n - 1):
         companion[j * n + j + 1] = 1.0
-    real, imag, info = array("d", [0.0]) * n, array("d", [0.0]) * n, c_int()
-    size, unit = c_int(n), c_int(1)
-    matrix = (b"N", b"N", size, address(companion), size, address(real), address(imag), None, unit, None, unit)
-    blas, work = load(), array("d", [0.0])
-    blas.dgeev(*matrix, address(work), c_int(-1), info, 1, 1)  # the workspace query
-    if info.value == 0:
-        work = array("d", [0.0]) * int(work[0])
-        blas.dgeev(*matrix, address(work), c_int(len(work)), info, 1, 1)
-    if info.value != 0:
+    real, imag, info = eigvals(companion, n)
+    if info != 0:
         raise PotentialError("cannot locate the stationary points of V in float64")
     return sorted(re for re, im in zip(real, imag) if abs(im) <= 1e-9 * (1.0 + abs(complex(re, im))))
 
@@ -520,32 +488,32 @@ def _gauss_rule(n):
     return tuple(-x for x in reversed(nodes)) + nodes, weights[::-1] + weights
 
 
+@cache
+def _action_arrays():
+    """Both rules' nodes, the 64-node rule's first, as one array('d') that callers copy, and each rule's weights."""
+    from array import array
+
+    (nodes64, weights64), (nodes128, weights128) = _gauss_rule(64), _gauss_rule(128)
+    return array("d", nodes64 + nodes128), array("d", weights64), array("d", weights128)
+
+
 def _action_rules(potential, floor, a, b):
     """The action integral of sqrt(2 max(V - floor, 0)) on [a, b] by the 64- and the 128-node rule.
 
-    Each has the bits of numpy's half * (weights @ f(mid + half * nodes)),
-    in BLAS calls on both rules' nodes at once: the nodes scaled (dscal)
-    and shifted (daxpy), V there by one _horner_on call, V - floor (daxpy)
-    doubled (dscal), its square root where it is positive, and each
-    weighted sum by ddot, the routine that numpy's @ calls.  (A plain sum,
-    or math.fsum, sums in another order.)
+    Each has the bits of numpy's half * (weights @ f(mid + half * nodes)):
+    both rules' nodes scaled and shifted at once, V there by one polyval,
+    sqrt(2 (V - floor)) where V exceeds the floor, and each sum by dot.
     """
     from array import array
-    from ctypes import byref, c_double, c_int
 
-    from ._openblas import address, load
+    from ._openblas import add, dot, polyval, scale
 
-    (nodes64, weights64), (nodes128, weights128) = _gauss_rule(64), _gauss_rule(128)
-    blas, count, unit, zero = load(), c_int(192), c_int(1), c_int(0)
-    half, x = 0.5 * (b - a), array("d", nodes64 + nodes128)
-    blas.dscal(count, c_double(half), address(x), unit)
-    blas.daxpy(count, c_double(1.0), byref(c_double(0.5 * (a + b))), zero, address(x), unit)
-    f = _horner_on(potential.coefficients, x)
-    blas.daxpy(count, c_double(-1.0), byref(c_double(floor)), zero, address(f), unit)
-    blas.dscal(count, c_double(2.0), address(f), unit)
-    f, w = array("d", [sqrt(v) if v > 0.0 else 0.0 for v in f]), array("d", weights64 + weights128)
-    coarse = half * blas.ddot(c_int(64), address(w), unit, address(f), unit)
-    return coarse, half * blas.ddot(c_int(128), address(w, 64), unit, address(f, 64), unit)
+    nodes, weights64, weights128 = _action_arrays()
+    half, x = 0.5 * (b - a), nodes[:]
+    scale(x, half)
+    add(x, 0.5 * (a + b))
+    f = array("d", [sqrt(2.0 * (v - floor)) if v > floor else 0.0 for v in polyval(potential.coefficients, x)])
+    return half * dot(weights64, f[:64]), half * dot(weights128, f[64:])
 
 
 def instanton_action(potential, x0, x1):

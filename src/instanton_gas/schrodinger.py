@@ -16,31 +16,27 @@ The gap is a difference of two eigenvalues of a matrix whose norm is about
 symmetric wells lose their gap from lam ~ 130 on.
 
 Neither numpy nor scipy is imported.  The grid, V on it and the operator
-are array('d') buffers, and every step on them, the solve included, is a
-BLAS or LAPACK call into scipy's bundled OpenBLAS, which _openblas opens
-on first use: each keeps the bits of the numpy and scipy.linalg
-expressions that it replaces.  ctypes releases the GIL for each call, so
-numeric_gap solves its two grids at once, the coarse one in a second
-thread, with the bits of one grid after the other.
+are array('d') buffers, and every step on them, the solve included, is an
+operation of _openblas, which keeps the bits of the numpy or scipy.linalg
+expression it is named for.  Those release the GIL, so numeric_gap solves
+its two grids at once, the coarse one in a second thread, with the bits
+of one grid after the other.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from array import array
-from ctypes import byref, c_double, c_int
 from dataclasses import dataclass
 from math import isfinite, log
 from typing import NamedTuple
 
-from ._openblas import address, load
+from ._openblas import add, all_finite, linspace, lstsq_line, polyval, stebz
 from .potential import (
     ComputationError,
     ParameterError,
     PolynomialPotential,
     WellParameters,
-    _horner_on,
     find_minima,
     well_parameters,
 )
@@ -108,24 +104,8 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.points - 1)
 
     def array(self):
-        """The points, as an array('d') with the bits of np.linspace(x_min, x_max, points).
-
-        linspace's steps in BLAS: the ramp 0, 1, ..., points - 1 (doubled
-        by a dcopy and a daxpy of the count so far until it is complete),
-        times the spacing (dscal), plus x_min (daxpy), and x_max last.
-        """
-        blas, n, unit = load(), self.points, c_int(1)
-        x = array("d", [0.0, 1.0]) + array("d", [0.0]) * (n - 2)
-        done = 2
-        while done < n:
-            count = c_int(min(done, n - done))
-            blas.dcopy(count, address(x), unit, address(x, done), unit)
-            blas.daxpy(count, c_double(done), byref(c_double(1.0)), c_int(0), address(x, done), unit)
-            done += count.value
-        blas.dscal(c_int(n), c_double(self.spacing), address(x), unit)
-        blas.daxpy(c_int(n), c_double(1.0), byref(c_double(self.x_min)), c_int(0), address(x), unit)
-        x[-1] = self.x_max
-        return x
+        """The points, as an array('d') with the bits of np.linspace(x_min, x_max, points)."""
+        return linspace(self.x_min, self.x_max, self.points)
 
     def refined(self):
         """Same domain with halved spacing."""
@@ -133,13 +113,6 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec(-3.5, 3.5, 4001)
-
-
-def _finite(values):
-    """Whether every entry of an array('d') is finite: x . 0 is 0 then, and NaN
-    where an entry is not (0 inf is NaN), one ddot with a zero stride."""
-    unit = c_int(1)
-    return isfinite(load().ddot(c_int(len(values)), address(values), unit, byref(c_double(0.0)), c_int(0)))
 
 
 @dataclass(frozen=True)
@@ -162,17 +135,17 @@ class TridiagonalOperator:
             raise SolverError("off-diagonal must be finite and strictly negative")
         if len(self.diagonal) != self.size:
             raise SolverError("diagonal length must equal size")
-        if not _finite(self.diagonal):
+        if not all_finite(self.diagonal):
             raise SolverError("diagonal entries must be finite")
 
 
 def discretize(potential, grid, min_boundary_potential=None):
     """Central-difference operator for -psi''/2 + V psi on interior points.
 
-    A PolynomialPotential is evaluated on the whole grid at once, in BLAS
-    calls (potential._horner_on); any other `potential` is a callable of
-    one position, called at each point, such as the harmonic oscillator of
-    a validation case.
+    A PolynomialPotential is evaluated on the whole grid at once
+    (_openblas.polyval); any other `potential` is a callable of one
+    position, called at each point, such as the harmonic oscillator of a
+    validation case.
     """
     return _operator(_values(potential, grid), grid, min_boundary_potential)
 
@@ -180,14 +153,14 @@ def discretize(potential, grid, min_boundary_potential=None):
 def _values(potential, grid):
     x = grid.array()
     if isinstance(potential, PolynomialPotential):
-        return _horner_on(potential.coefficients, x)
+        return polyval(potential.coefficients, x)
     return array("d", map(potential, x))
 
 
 def _operator(values, grid, min_boundary_potential):
     """discretize's operator from V's values at the grid's points: the diagonal
-    is 1/h^2 + V by a daxpy, with the bits of numpy's sum."""
-    if not _finite(values):
+    is 1/h^2 + V, with the bits of numpy's sum."""
+    if not all_finite(values):
         raise DomainError("the potential is not finite on the grid")
     if min_boundary_potential is not None:
         v_edge = min(values[0], values[-1])
@@ -198,7 +171,7 @@ def _operator(values, grid, min_boundary_potential):
             )
     h = grid.spacing
     diag = values[1:-1]
-    load().daxpy(c_int(len(diag)), c_double(1.0), byref(c_double(1.0 / h**2)), c_int(0), address(diag), c_int(1))
+    add(diag, 1.0 / h**2)
     return TridiagonalOperator(diagonal=diag, off_diagonal=-0.5 / h**2, size=grid.points - 2)
 
 
@@ -229,16 +202,12 @@ def sturm_count(operator, x):
 
 
 def lowest_eigenvalues(operator, count):
-    """The `count` smallest eigenvalues by LAPACK bisection (`dstebz`).
+    """The `count` smallest eigenvalues by LAPACK bisection (_openblas.stebz), with eigh_tridiagonal's bits.
 
-    The routine gets the arguments that scipy.linalg.eigh_tridiagonal
-    passes with select="i" and lapack_driver="stebz": range "I", il..iu =
-    1..count, and order "E", which sorts the whole matrix.  So the
-    eigenvalues are the same bits.  Each eigenvalue is bisected to absolute
-    width EIGENVALUE_TOL; eigenvalues of the irreducible operator are
-    simple, so the returned list of floats is strictly increasing.  The
-    routine runs without the GIL, on buffers of its own call, so threads
-    may solve at once.  A LAPACK error or a short result raises SolverError.
+    Each is bisected to absolute width EIGENVALUE_TOL; eigenvalues of the
+    irreducible operator are simple, so the returned list of floats is
+    strictly increasing.  Threads may solve at once.  A LAPACK error or a
+    short result raises SolverError.
     """
     if count < 1 or count > 4:
         raise SolverError("count must be between 1 and 4")
@@ -246,21 +215,11 @@ def lowest_eigenvalues(operator, count):
         raise BracketError(
             f"cannot find {count} eigenvalues of a {operator.size}-row operator"
         )
-    d = operator.diagonal
-    n = len(d)
-    off = array("d", [operator.off_diagonal]) * max(n - 1, 1)
-    eigs, work = array("d", [0.0]) * n, array("d", [0.0]) * (4 * n)
-    iblock, isplit, iwork = array("i", [0]) * n, array("i", [0]) * n, array("i", [0]) * (3 * n)
-    found, nsplit, info = c_int(), c_int(), c_int()
-    load().dstebz(
-        b"I", b"E", c_int(n), c_double(0.0), c_double(0.0), c_int(1), c_int(count), c_double(EIGENVALUE_TOL),
-        address(d), address(off), found, nsplit,
-        address(eigs), address(iblock), address(isplit), address(work), address(iwork), info, 1, 1,
-    )
-    found, info = found.value, info.value
-    if info != 0 or found != count:
-        raise SolverError(f"stebz returned info {info} with {found} of {count} eigenvalues")
-    return eigs[:found].tolist()
+    off = array("d", [operator.off_diagonal]) * (operator.size - 1)
+    eigs, info = stebz(operator.diagonal, off, count, EIGENVALUE_TOL)
+    if info != 0 or len(eigs) != count:
+        raise SolverError(f"stebz returned info {info} with {len(eigs)} of {count} eigenvalues")
+    return eigs
 
 
 class GapEstimate(NamedTuple):
@@ -284,26 +243,23 @@ def numeric_gap(potential, grid, min_boundary_potential=None):
     Solves on the given grid and on the spacing-halved grid; the returned
     gap is the fine-grid value and the error estimate (gap_fine -
     gap_coarse)/3 follows from the second-order convergence of the stencil.
-    The coarse operator is solved in a second thread while this one
-    discretizes and solves the fine grid; the solver releases the GIL, so
-    the two solves overlap.  Each solve is the one a sequential run would
-    make, so the results are the same bits, and an error is the first one
-    that order would meet: coarse discretization, coarse solve, fine
-    discretization, fine solve.
+    V is evaluated once, on the fine grid, whose every other point is the
+    given grid's, bit for bit: a callable `potential` is called 2 points - 1
+    times, and one that raises does so before either solve.  The coarse
+    operator is solved in a second thread while this one forms and solves
+    the fine one; the solver releases the GIL, so they overlap.  Each solve
+    is the one a sequential run would make, so the results are the same
+    bits, and any other error is the first that order would meet: coarse
+    operator, coarse solve, fine operator, fine solve.
     """
     fine_grid = grid.refined()
-    # The grid's points are every other point of its refinement, bit for bit, and so are a
-    # polynomial's values there: V is evaluated once, on the fine grid.  (It raises nothing, so
-    # the order of the errors is kept; another callable is called on each grid in turn.)
-    shared = isinstance(potential, PolynomialPotential)
-    if shared:
-        fine_values = _values(potential, fine_grid)
-    coarse = _operator(fine_values[::2] if shared else _values(potential, grid), grid, min_boundary_potential)
+    fine_values = _values(potential, fine_grid)
+    coarse = _operator(fine_values[::2], grid, min_boundary_potential)
     outcome = []
     worker = threading.Thread(target=_solve_into, args=(coarse, outcome), name="numeric_gap coarse solve")
     worker.start()
     try:
-        fine = _operator(fine_values if shared else _values(potential, fine_grid), fine_grid, min_boundary_potential)
+        fine = _operator(fine_values, fine_grid, min_boundary_potential)
         e0, e1 = lowest_eigenvalues(fine, 2)
     finally:
         worker.join()
@@ -379,26 +335,12 @@ def benchmark_point(lam, b, grid=None):
 
 
 def _fit_line(x, y):
-    """(slope, intercept) of the least-squares line through the points (x_i, y_i).
-
-    LAPACK's dgelsd on the m x 2 design [x, 1] in column-major order, with
-    numpy's lstsq arguments (rcond = eps max(m, 2), the workspace that a
-    query returns), so the fit has lstsq's bits.
-    """
-    m = len(x)
-    design, rhs = array("d", x) + array("d", [1.0]) * m, array("d", y)
-    singular, rank, info = array("d", [0.0, 0.0]), c_int(), c_int()
-    rows = c_int(m)
-    problem = (rows, c_int(2), c_int(1), address(design), rows, address(rhs), rows, address(singular),
-               c_double(sys.float_info.epsilon * max(m, 2)), rank)
-    blas, work, iwork = load(), array("d", [0.0]), array("i", [0])
-    blas.dgelsd(*problem, address(work), c_int(-1), address(iwork), info)  # the workspace query
-    if info.value == 0:
-        work, iwork = array("d", [0.0]) * int(work[0]), array("i", [0]) * max(iwork[0], 1)
-        blas.dgelsd(*problem, address(work), c_int(len(work)), address(iwork), info)
-    if info.value != 0:
-        raise ScalingError(f"the least-squares fit failed: dgelsd returned info {info.value}")
-    return rhs[0], rhs[1]
+    """(slope, intercept) of the least-squares line through the points (x_i, y_i), with
+    the bits of numpy's lstsq (_openblas.lstsq_line)."""
+    slope, intercept, info = lstsq_line(x, y)
+    if info != 0:
+        raise ScalingError(f"the least-squares fit failed: dgelsd returned info {info}")
+    return slope, intercept
 
 
 def scaling_study(b, lambdas, K_hint=None, grid=None):

@@ -68,7 +68,8 @@ def _two_level(omega0, omega1, coupling):
     infinite (as in moments._decay).  E+ = mean - root cancels where
     root nears mean (e.g. w1 >> w0); there it is taken from the product
     E+ E- = w0 w1/4 - B^2, each term divided by mean + root first so that
-    nothing overflows.
+    nothing overflows.  C = 1 / (2 sqrt(1 + (d/2B)^2)) is taken as
+    0.5 (B / root), which stays nonzero where d/2B overflows.
     """
     delta = (omega0 - omega1) / 2.0
     if coupling == 0.0:
@@ -82,12 +83,7 @@ def _two_level(omega0, omega1, coupling):
         lo, hi = sorted((omega0, omega1))
         total = mean + root
         e_plus = (lo / 2.0) * ((hi / 2.0) / total) - coupling * (coupling / total)
-    ratio = delta / (2.0 * coupling)
-    try:
-        c = 0.5 / sqrt(1.0 + ratio**2)
-    except OverflowError:  # ratio^2 beyond float64, where sqrt(1 + ratio^2) is |ratio|
-        c = 0.5 / abs(ratio)
-    return SpectrumResult(e_plus, mean + root, 2.0 * root, c)
+    return SpectrumResult(e_plus, mean + root, 2.0 * root, 0.5 * (coupling / root))
 
 
 def energies(params):

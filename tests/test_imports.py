@@ -10,6 +10,7 @@ ctypes or array.  Every check of what is loaded runs in a fresh interpreter,
 because the pytest process itself imports whatever the other test
 modules use.
 """
+import ast
 import json
 import os
 import subprocess
@@ -243,6 +244,22 @@ def test_moments_loads_neither_numpy_nor_scipy():
 def test_no_module_names_longdouble():
     # np.longdouble has 64 mantissa bits only on x86 Linux; elsewhere it is float64
     assert [p.name for p in sorted((SRC / "instanton_gas").glob("*.py")) if "longdouble" in p.read_text()] == []
+
+
+def test_only_the_library_loader_imports_ctypes():
+    # the Fortran calling convention (addresses, by-reference scalars, work buffers) stays behind _openblas
+    importers = set()
+    for path in sorted((SRC / "instanton_gas").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.add(path.stem)
+    assert importers == {"_openblas"}
 
 
 def test_near_symmetric_sum_loads_no_numpy_mpmath_or_scipy():

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import sys
 import threading
@@ -286,6 +287,19 @@ class TestNumericGap:
             numeric_gap(harmonic, GridSpec(-3.0, 3.0, 101))
         assert threading.active_count() == threads
 
+    def test_callable_is_called_once_per_fine_point(self):
+        # the given grid's points are every other fine point, so their values are read, not computed again
+        calls = []
+
+        def potential(x):
+            calls.append(x)
+            return harmonic(x)
+
+        grid = GridSpec(-3.0, 3.0, 101)
+        numeric_gap(potential, grid)
+        assert len(calls) == 2 * grid.points - 1
+        assert calls == grid.refined().array().tolist()
+
     def test_self_consistency_across_resolutions(self):
         pot = benchmark_potential(4.0, 0.5)
         g1 = numeric_gap(pot, GridSpec(-3.0, 3.0, 2001))
@@ -340,6 +354,41 @@ class TestBenchmarkFamily:
             for lam in (2.0, 4.0, 6.0)
         ]
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+def test_openblas_thread_count_stays_the_callers():
+    # only polyval's dtbmv loop runs on one thread, and it restores the count it found, also where
+    # more threads than cores meet there
+    blas = _openblas.load()
+    callers = blas.openblas_get_num_threads()
+    blas.openblas_set_num_threads(ctypes.c_int(2))
+    try:
+        benchmark_point(16.0, 0.0)
+        after_point = blas.openblas_get_num_threads()
+        x = GridSpec(-3.5, 3.5, 4001).array()
+        coefficients = benchmark_potential(16.0, 0.5).coefficients
+        expected = _openblas.polyval(coefficients, x)
+        results = [[] for _ in range(4)]
+
+        def evaluate(i):
+            for _ in range(50):
+                results[i].append(_openblas.polyval(coefficients, x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (after_point, blas.openblas_get_num_threads()) == (2, 2)
+        assert results == [[expected] * 50] * 4
+    finally:
+        blas.openblas_set_num_threads(ctypes.c_int(callers))
 
 
 class TestScalingStudy:

@@ -151,6 +151,13 @@ class TestGasSum:
             exact = c * (mpmath.exp(-(mean - root) * tm) - mpmath.exp(-(mean + root) * tm))
             assert abs(gas_sum_closed(params) - exact) <= 1e-14 * exact
 
+    def test_subnormal_coupling_keeps_the_amplitude(self):
+        # d/2B = -2.5e319 is beyond float64, but C = B / (2 root) = 1.99998e-320 is not; the 50-digit
+        # references of C and of the closed form, 4.65083e-321, round to these subnormals
+        params = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=1e-320)
+        assert energies(params).amplitude_coefficient == 2e-320
+        assert gas_sum_closed(params) == gas_sum_partial(params, 3)[0] == 4.65e-321
+
     def test_no_tunneling(self):
         params = WellParameters(omega0=1.0, omega1=2.0, T=2.0, B=0.0)
         assert gas_sum_closed(params) == 0.0
